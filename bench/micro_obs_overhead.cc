@@ -65,8 +65,8 @@ BENCHMARK(BM_ScopedTimer);
 
 void BM_SpanNoSink(benchmark::State& state) {
   // The disabled path every propagation wave pays when nobody traces: the
-  // constructor's TraceEnabled() load and the destructor's branch. Must
-  // stay within the same budget as a disabled counter.
+  // constructor's trace-scope and global-sink loads and the destructor's
+  // branch. Must stay within the same budget as a disabled counter.
   obs::SetTraceSink(nullptr);
   for (auto _ : state) {
     DELTAMON_OBS_SPAN(span, "bench", "obs_overhead");

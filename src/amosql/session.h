@@ -2,6 +2,7 @@
 #define DELTAMON_AMOSQL_SESSION_H_
 
 #include <functional>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -32,6 +33,16 @@ struct QueryResult {
 /// maintains interface variables (:item1) and registered foreign
 /// procedures, and creates per-type extent relations on demand.
 ///
+/// Every session is an optimistic transaction on the engine's
+/// TransactionManager: statements take the engine gate (shared for reads
+/// and DML, exclusive for DDL and admin commands), DML buffers into a
+/// private snapshot overlay — the transaction's net Δ-set — instead of
+/// writing the shared store, and `commit` goes through the group-commit
+/// queue with first-committer-wins validation; a kTxnConflict result means
+/// the transaction was aborted and can be retried. Sessions on one engine
+/// may run on different threads; one session is used by one thread at a
+/// time.
+///
 ///   Engine engine;
 ///   Session session(engine);
 ///   session.RegisterProcedure("order", ...);
@@ -53,26 +64,9 @@ class Session : public ExtentProvider {
   explicit Session(Engine& engine) : engine_(engine) {}
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
-  ~Session() override {
-    if (txn_mgr_ != nullptr) txn_mgr_->Release(txn_);
-  }
+  ~Session() override { engine_.txn.Release(txn_); }
 
   Engine& engine() { return engine_; }
-
-  /// Switches the session into concurrent-transaction mode: statements
-  /// take the manager's engine gate (shared for reads/DML, exclusive for
-  /// DDL and admin commands), DML buffers into a private snapshot overlay
-  /// instead of writing the shared store, and `commit` goes through the
-  /// group-commit queue with first-committer-wins validation — a
-  /// kTxnConflict result means the transaction was aborted and can be
-  /// retried. Without this call the session keeps the single-threaded
-  /// behavior: direct database writes and Database::Commit(). The manager
-  /// must outlive the session. The network server attaches every
-  /// connection's session to its engine's manager.
-  void AttachTransactionManager(txn::TransactionManager* mgr) {
-    txn_mgr_ = mgr;
-  }
-  txn::TransactionManager* transaction_manager() const { return txn_mgr_; }
 
   /// This session's transaction snapshot; last_commit describes the most
   /// recent group-commit wave that committed it (for tests and metrics).
@@ -143,8 +137,11 @@ class Session : public ExtentProvider {
 
   /// StateContext for session-level evaluators: routes stored-relation
   /// reads through the transaction snapshot (overlay view + footprint
-  /// recording) when a manager is attached; plain otherwise.
+  /// recording).
   objectlog::StateContext EvalContext();
+
+  /// The engine gate (see txn::TransactionManager).
+  std::shared_mutex& gate() { return engine_.txn.engine_mutex(); }
 
   /// Lazily registers the snapshot and — outside an explicit transaction,
   /// while nothing is buffered — re-snapshots it at the current version,
@@ -168,8 +165,6 @@ class Session : public ExtentProvider {
   int temp_counter_ = 0;
   bool created_rules_ = false;
 
-  /// Concurrent-transaction mode (null = legacy single-threaded mode).
-  txn::TransactionManager* txn_mgr_ = nullptr;
   TxnSnapshot txn_;
   /// Whether txn_ has been registered with the manager yet (lazy begin).
   bool txn_started_ = false;
@@ -192,10 +187,10 @@ Result<QueryResult> ExecuteStatement(Session& session,
 /// Per-request execution knobs for server front ends. `context` (when
 /// non-null) identifies the request: the statement runs under a root
 /// "amosql.statement" span carrying the connection id and ordinal, and —
-/// because the executor installs the context's trace id for the duration —
-/// every span the statement produces links back to it. `profiler` (when
-/// non-null) receives the per-literal profile of everything the statement
-/// evaluates, as `explain analyze` would.
+/// because the executor installs the context's trace id as the thread's
+/// trace scope — every span the statement produces links back to it.
+/// `profiler` (when non-null) receives the per-literal profile of
+/// everything the statement evaluates, as `explain analyze` would.
 struct StatementOptions {
   const obs::RequestContext* context = nullptr;
   obs::Profile* profiler = nullptr;

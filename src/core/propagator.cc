@@ -599,7 +599,11 @@ Result<PropagationResult> Propagator::Propagate(
       // the order the serial loop would have used.
       outputs.clear();
       outputs.resize(level_nodes.size());
+      // Pool workers evaluate on behalf of the caller's request: its trace
+      // scope rides along with each task, as the per-worker caches do.
+      const obs::TraceScope scope = obs::CurrentTraceScope();
       pool->Run(level_nodes.size(), [&](size_t i, size_t worker) {
+        obs::ScopedTrace trace(scope);
         outputs[i].status = ProcessNode(level_nodes[i], lvl, wave, view_map,
                                         &(*caches)[worker], &outputs[i]);
       });
@@ -636,22 +640,6 @@ Result<PropagationResult> Propagator::Propagate(
     }
   }
 #endif
-  // Structured per-differential flow for external consumers (the trace
-  // sink is orthogonal to the metrics toggle: installing a sink is itself
-  // the opt-in, and emission is one atomic load when none is installed).
-  if (obs::TraceEnabled()) {
-    for (const TraceEntry& e : result.trace) {
-      obs::EmitTrace(obs::TraceEvent{
-          "propagation",
-          "differential",
-          {{"target", static_cast<int64_t>(e.target)},
-           {"influent", static_cast<int64_t>(e.influent)},
-           {"reads_plus", e.reads_plus ? 1 : 0},
-           {"produces_plus", e.produces_plus ? 1 : 0},
-           {"tuples_consumed", static_cast<int64_t>(e.tuples_consumed)},
-           {"tuples_produced", static_cast<int64_t>(e.tuples_produced)}}});
-    }
-  }
   return result;
 }
 

@@ -17,42 +17,32 @@ Result<amosql::QueryResult> Executor::Execute(amosql::Session& session,
                                               obs::RequestRecord* record) {
   const auto start = std::chrono::steady_clock::now();
   Result<amosql::QueryResult> result = [&]() -> Result<amosql::QueryResult> {
-    // Attached sessions lock at the leaf (engine gate + commit queue) and
-    // run concurrently here. The mutex serializes legacy sessions, and —
-    // because slow-statement capture swaps the process-global trace sink —
-    // everyone while the threshold is armed.
-    const uint64_t slow_ns = obs::SlowLog::Global().threshold_ns();
-    std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-    if (session.transaction_manager() == nullptr || slow_ns > 0) lock.lock();
     if (record == nullptr) return amosql::ExecuteStatement(session, source);
 
     record->dequeue_ns = obs::MonotonicNowNs();
     DELTAMON_OBS_RECORD("net.queue_wait_ns",
                         record->dequeue_ns - record->enqueue_ns);
-    // Every span the statement produces — check phase, waves, clause
-    // evaluations, on any propagation worker thread — carries this id.
-    // (The installed id is process-global; concurrent statements may
-    // cross-attribute spans, which the flight recorder tolerates.)
-    obs::ScopedTraceId trace_scope(record->context.trace_id);
     amosql::StatementOptions options;
     options.context = &record->context;
 
-    // Slow-statement capture: with the threshold armed, spans go into a
-    // private ring and every literal is profiled, so an over-threshold
-    // statement's full evidence is already in hand when it finishes. The
-    // executor mutex (held unconditionally in this mode, see above) makes
-    // the process-global sink swap safe — no other statement emits while
-    // we hold it. Threshold 0 (the default) skips all of this: one
-    // relaxed load per statement.
+    // Every span the statement produces — check phase, waves, clause
+    // evaluations, on any propagation worker thread — carries this
+    // request's trace id. Slow-statement capture: with the threshold armed,
+    // the scope also carries a private ring and every literal is profiled,
+    // so an over-threshold statement's full evidence is already in hand
+    // when it finishes; no other request's spans can reach the ring.
+    // Threshold 0 (the default) skips all of this: one relaxed load per
+    // statement.
+    const uint64_t slow_ns = obs::SlowLog::Global().threshold_ns();
     std::optional<obs::RingTraceSink> ring;
     obs::Profile profile;
-    obs::TraceSink* previous = nullptr;
+    obs::TraceScope scope{record->context.trace_id, nullptr};
     if (slow_ns > 0) {
       ring.emplace(/*capacity=*/65536);
-      previous = obs::GetTraceSink();
-      obs::SetTraceSink(&*ring);
+      scope.sink = &*ring;
       options.profiler = &profile;
     }
+    obs::ScopedTrace trace(scope);
     // If this statement batch commits, the snapshot's last_commit changes
     // batch id; diffing it across execution tells us whether (and in which
     // wave) this request's transaction committed.
@@ -63,28 +53,24 @@ Result<amosql::QueryResult> Executor::Execute(amosql::Session& session,
     const uint64_t exec_ns = record->exec_end_ns - record->dequeue_ns;
     DELTAMON_OBS_RECORD("net.exec_ns", exec_ns);
     const auto& commit = session.txn_snapshot().last_commit;
-    if (session.transaction_manager() != nullptr &&
-        commit.batch_id != batch_before) {
+    if (commit.batch_id != batch_before) {
       record->commit_version = commit.version;
       record->commit_batch = commit.batch_id;
       record->commit_batch_size = commit.batch_size;
       record->commit_queue_wait_ns = commit.queue_wait_ns;
       record->commit_check_ns = commit.check_ns;
     }
-    if (slow_ns > 0) {
-      obs::SetTraceSink(previous);
-      if (exec_ns >= slow_ns) {
-        obs::SlowRecord slow;
-        slow.context = record->context;
-        slow.statement = source;
-        slow.ok = r.ok();
-        slow.elapsed_ns = exec_ns;
-        slow.span_tree = obs::FormatSpanTree(ring->events());
-        slow.chrome_trace = obs::ChromeTraceJson(ring->events());
-        slow.profile_text = profile.Format(/*include_time=*/true);
-        slow.profile_json = profile.ToJson();
-        obs::SlowLog::Global().Record(std::move(slow));
-      }
+    if (slow_ns > 0 && exec_ns >= slow_ns) {
+      obs::SlowRecord slow;
+      slow.context = record->context;
+      slow.statement = source;
+      slow.ok = r.ok();
+      slow.elapsed_ns = exec_ns;
+      slow.span_tree = obs::FormatSpanTree(ring->events());
+      slow.chrome_trace = obs::ChromeTraceJson(ring->events());
+      slow.profile_text = profile.Format(/*include_time=*/true);
+      slow.profile_json = profile.ToJson();
+      obs::SlowLog::Global().Record(std::move(slow));
     }
     record->ok = r.ok();
     return r;
@@ -99,10 +85,6 @@ Result<amosql::QueryResult> Executor::Execute(amosql::Session& session,
 }
 
 Result<std::string> Executor::NetworkDot(const std::string& rule) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Lock order everywhere is executor mutex, then engine gate: statements
-  // under the mutex (legacy / slow-capture) take the gate inside the
-  // session, so taking the gate here cannot deadlock against them.
   std::unique_lock<std::shared_mutex> gate(engine_.txn.engine_mutex());
   DELTAMON_ASSIGN_OR_RETURN(const core::PropagationNetwork* net,
                             engine_.rules.network());

@@ -209,11 +209,6 @@ void Server::RegisterPending(Worker& w) {
     conn->parser = FrameParser(options_.max_frame_size);
     conn->last_active = std::chrono::steady_clock::now();
     conn->session = std::make_unique<amosql::Session>(engine_);
-    // Every connection runs as an optimistic transaction: snapshot reads,
-    // buffered writes, and group-committed check phases. Statements from
-    // different connections synchronize at the engine gate and the commit
-    // queue instead of the executor mutex.
-    conn->session->AttachTransactionManager(&engine_.txn);
     conn->action_output = std::make_shared<ActionSink>();
     RegisterPrint(*conn->session, conn->action_output);
     conn->interest = EPOLLIN | EPOLLET | EPOLLRDHUP;

@@ -49,9 +49,9 @@ struct ServerOptions {
 
 /// Output produced by rule-action `print` calls on behalf of one
 /// session. A rule compiled by session A can fire during *any*
-/// connection's statement — on that connection's worker thread, under
-/// the executor mutex — while A's own worker drains the buffer outside
-/// that mutex, so the string needs its own lock.
+/// connection's commit wave — on the commit leader's worker thread —
+/// while A's own worker drains the buffer, so the string needs its own
+/// lock.
 class ActionSink {
  public:
   void Append(const std::string& chunk) {
@@ -77,11 +77,10 @@ class ActionSink {
 ///    readiness, non-blocking sockets, per-connection read/write buffers
 ///    and FrameParser. A connection lives on exactly one worker, so its
 ///    Session is only ever touched by that worker's thread;
-///  - statement execution happens inline on the worker, serialized across
-///    all workers by the Executor (one statement batch at a time). Inline
-///    execution under a global executor mutex has the same throughput as
-///    a dedicated executor thread would — the engine admits one writer —
-///    without a cross-thread response handoff;
+///  - statement execution happens inline on the worker, through the
+///    Executor. Every Session is transactional, so workers execute
+///    concurrently, synchronizing only at the engine gate and the
+///    group-commit queue — no cross-thread response handoff;
 ///  - an optional admin HTTP thread (AdminServer).
 ///
 /// Sessions that created rules are referenced by those rules' compiled

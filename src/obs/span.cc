@@ -14,10 +14,12 @@ namespace {
 
 std::atomic<uint64_t> g_next_span_id{1};
 std::atomic<int64_t> g_next_thread_index{1};
-std::atomic<uint64_t> g_current_trace_id{0};
 
 thread_local uint64_t t_current_span = 0;
 thread_local int64_t t_thread_index = 0;
+#if DELTAMON_OBS_ENABLED
+thread_local TraceScope t_scope;
+#endif
 
 int64_t ThreadIndex() {
   if (t_thread_index == 0) {
@@ -48,19 +50,20 @@ bool IsBookkeepingField(const std::string& key) {
 }  // namespace
 
 Span::Span(const char* category, std::string name) {
-  if (!TraceEnabled()) return;
-  active_ = true;
+  const TraceScope scope = CurrentTraceScope();
+  sink_ = scope.sink != nullptr ? scope.sink : GetTraceSink();
+  if (sink_ == nullptr) return;
   id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
   parent_ = t_current_span;
   t_current_span = id_;
-  trace_id_ = g_current_trace_id.load(std::memory_order_relaxed);
+  trace_id_ = scope.trace_id;
   category_ = category;
   name_ = std::move(name);
   start_ns_ = NowNs();
 }
 
 Span::~Span() {
-  if (!active_) return;
+  if (sink_ == nullptr) return;
   uint64_t end_ns = NowNs();
   t_current_span = parent_;
   TraceEvent event;
@@ -77,33 +80,29 @@ Span::~Span() {
     event.fields.emplace_back("trace_id", static_cast<int64_t>(trace_id_));
   }
   for (auto& field : fields_) event.fields.push_back(std::move(field));
-  EmitTrace(event);
+  sink_->OnEvent(event);
 }
 
 void Span::AddField(std::string key, int64_t value) {
-  if (!active_) return;
+  if (sink_ == nullptr) return;
   fields_.emplace_back(std::move(key), value);
 }
 
 void Span::SetName(std::string name) {
-  if (!active_) return;
+  if (sink_ == nullptr) return;
   name_ = std::move(name);
 }
 
 uint64_t Span::CurrentId() { return t_current_span; }
 
 #if DELTAMON_OBS_ENABLED
-ScopedTraceId::ScopedTraceId(uint64_t trace_id)
-    : saved_(g_current_trace_id.exchange(trace_id,
-                                         std::memory_order_relaxed)) {}
-
-ScopedTraceId::~ScopedTraceId() {
-  g_current_trace_id.store(saved_, std::memory_order_relaxed);
+ScopedTrace::ScopedTrace(const TraceScope& scope) : saved_(t_scope) {
+  t_scope = scope;
 }
 
-uint64_t CurrentTraceId() {
-  return g_current_trace_id.load(std::memory_order_relaxed);
-}
+ScopedTrace::~ScopedTrace() { t_scope = saved_; }
+
+TraceScope CurrentTraceScope() { return t_scope; }
 #endif
 
 bool IsSpanEvent(const TraceEvent& event) {

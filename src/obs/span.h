@@ -18,28 +18,29 @@ namespace deltamon::obs {
 /// A Span is an RAII wall-clock interval with parent/child nesting: the
 /// innermost live span on the current thread is the parent of any span
 /// started while it is open. On destruction the span emits one TraceEvent
-/// into the installed TraceSink, carrying its id, parent id, thread, start
-/// time and duration as integer fields — so the existing ring sink, the
-/// span-tree printer and the Chrome-trace exporter all consume the same
-/// stream.
+/// into the sink it started with — the current request scope's private
+/// sink if it has one, else the process-wide SetTraceSink sink — carrying
+/// its id, parent id, thread, start time and duration as integer fields,
+/// so the ring sink, the span-tree printer and the Chrome-trace exporter
+/// all consume the same stream.
 ///
-/// Cost model: when no sink is installed (the default) a span is one
-/// relaxed atomic load in the constructor and a branch in the destructor —
-/// no clock reads, no id allocation, no allocation at all. Installing a
-/// sink is the opt-in, exactly as for EmitTrace. Under
+/// Cost model: when no sink applies (the default) a span is one
+/// thread-local load and one relaxed atomic load in the constructor and a
+/// branch in the destructor — no clock reads, no id allocation, no
+/// allocation at all. Installing a sink is the opt-in. Under
 /// `cmake -DDELTAMON_OBS=OFF` the DELTAMON_OBS_SPAN macro compiles spans
 /// out entirely.
 class Span {
  public:
-  /// Starts a span (active iff a trace sink is installed). `category`
-  /// must be a string with static storage duration; `name` is copied.
+  /// Starts a span (active iff a trace sink applies). `category` must be
+  /// a string with static storage duration; `name` is copied.
   Span(const char* category, std::string name);
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   /// Ends the span and emits its TraceEvent.
   ~Span();
 
-  bool active() const { return active_; }
+  bool active() const { return sink_ != nullptr; }
   /// 0 when inactive.
   uint64_t id() const { return id_; }
 
@@ -56,7 +57,7 @@ class Span {
   static uint64_t CurrentId();
 
  private:
-  bool active_ = false;
+  TraceSink* sink_ = nullptr;  ///< null = inactive
   uint64_t id_ = 0;
   uint64_t parent_ = 0;
   uint64_t trace_id_ = 0;  ///< CurrentTraceId() at construction
@@ -66,38 +67,50 @@ class Span {
   std::vector<std::pair<std::string, int64_t>> fields_;
 };
 
-/// --- Request trace-id propagation ------------------------------------------
+/// --- Request trace scope ---------------------------------------------------
 ///
-/// The trace id of the request currently executing, installed by the
-/// network executor around each statement. Process-global (one relaxed
-/// atomic), not thread-local: the executor serializes statements, but a
-/// statement's propagation wave runs on pool worker threads whose spans
-/// must carry the same id. Active spans read it at construction and attach
-/// it as a `trace_id` field when nonzero, so the whole span tree of a
-/// statement — check phase, waves, clause evaluations — links back to the
-/// request record in the flight recorder. Compiled out (no atomic, no
-/// field) under -DDELTAMON_OBS=OFF.
+/// The tracing context of the request executing on this thread: its trace
+/// id and, optionally, a private sink. The network executor installs one
+/// around each statement (with the slow log armed, the sink is the
+/// statement's capture ring) and `trace <stmt>` installs its ring the same
+/// way, so concurrent requests never share a sink. The scope travels with
+/// the work: the propagator hands the caller's scope to each pool task, and
+/// the commit queue runs a solo wave (private sink or profiler) under its
+/// committer's scope whichever thread leads; a shared wave runs under the
+/// leader's. Active spans read the scope at construction: they carry
+/// `trace_id` when it is nonzero and emit into its sink when it has one.
+/// Under -DDELTAMON_OBS=OFF the guard is a no-op and no thread-local
+/// exists.
+struct TraceScope {
+  uint64_t trace_id = 0;      ///< 0 outside a request
+  TraceSink* sink = nullptr;  ///< null: the process-wide sink
+};
+
 #if DELTAMON_OBS_ENABLED
-class ScopedTraceId {
+/// Installs `scope` on this thread for its lifetime and restores the
+/// previous scope afterwards; scopes nest.
+class ScopedTrace {
  public:
-  explicit ScopedTraceId(uint64_t trace_id);
-  ~ScopedTraceId();
-  ScopedTraceId(const ScopedTraceId&) = delete;
-  ScopedTraceId& operator=(const ScopedTraceId&) = delete;
+  explicit ScopedTrace(const TraceScope& scope);
+  ~ScopedTrace();
+  ScopedTrace(const ScopedTrace&) = delete;
+  ScopedTrace& operator=(const ScopedTrace&) = delete;
 
  private:
-  uint64_t saved_;
+  TraceScope saved_;
 };
 
-/// 0 when no request is executing.
-uint64_t CurrentTraceId();
+/// This thread's scope; all-zero outside a request.
+TraceScope CurrentTraceScope();
 #else
-class ScopedTraceId {
+class ScopedTrace {
  public:
-  explicit ScopedTraceId(uint64_t) {}
+  explicit ScopedTrace(const TraceScope&) {}
 };
-inline uint64_t CurrentTraceId() { return 0; }
+inline TraceScope CurrentTraceScope() { return {}; }
 #endif
+
+inline uint64_t CurrentTraceId() { return CurrentTraceScope().trace_id; }
 
 /// No-op stand-in used by DELTAMON_OBS_SPAN when instrumentation is
 /// compiled out; keeps call sites (AddField/SetName/active) compiling.

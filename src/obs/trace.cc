@@ -42,9 +42,4 @@ void SetTraceSink(TraceSink* sink) {
 
 TraceSink* GetTraceSink() { return g_sink.load(std::memory_order_acquire); }
 
-void EmitTrace(const TraceEvent& event) {
-  TraceSink* sink = GetTraceSink();
-  if (sink != nullptr) sink->OnEvent(event);
-}
-
 }  // namespace deltamon::obs

@@ -12,12 +12,13 @@
 namespace deltamon::obs {
 
 /// One structured trace event: a category + name and a flat list of
-/// integer fields. The propagation core emits one event per executed
-/// partial differential (paper §8 explainability), keyed by relation ids;
-/// consumers resolve names through the catalog if they want prose.
+/// integer fields. Spans (obs/span.h) are the producers: each ends as one
+/// event carrying its id, parent, thread and timing as bookkeeping fields
+/// next to its own (relation ids, tuple counts), so the span-tree printer
+/// and the Chrome-trace exporter read a single stream.
 struct TraceEvent {
   std::string category;  // e.g. "propagation", "rules"
-  std::string name;      // e.g. "differential", "rule_fired"
+  std::string name;      // e.g. "wave", "fire:monitor_items"
   std::vector<std::pair<std::string, int64_t>> fields;
 
   /// `category.name{k=v, ...}`.
@@ -25,8 +26,8 @@ struct TraceEvent {
 };
 
 /// Receives trace events. Implementations must tolerate events from any
-/// subsystem; emission is disabled wholesale when no sink is installed, so
-/// sinks never see a partial stream.
+/// subsystem and from several threads at once (pool workers emit the
+/// spans of the wave they evaluate).
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -38,10 +39,10 @@ class TraceSink {
 /// is not silent: every displaced event bumps dropped_events() and the
 /// global `obs.trace.dropped_events` counter (visible in SHOW METRICS), so
 /// a truncated trace announces itself.
-/// OnEvent is internally synchronized: parallel propagation emits spans and
-/// differential events from worker threads. Reading events() while another
-/// thread still emits is not synchronized — consumers (tests, TRACE, the
-/// profiler) read only after the traced work has joined.
+/// OnEvent is internally synchronized: parallel propagation emits spans
+/// from worker threads. Reading events() while another thread still emits
+/// is not synchronized — consumers (tests, TRACE, the profiler) read only
+/// after the traced work has joined.
 class RingTraceSink : public TraceSink {
  public:
   explicit RingTraceSink(size_t capacity = 1024) : capacity_(capacity) {}
@@ -65,16 +66,12 @@ class RingTraceSink : public TraceSink {
   std::deque<TraceEvent> events_;
 };
 
-/// Process-wide sink registration. Null (the default) disables emission;
-/// EmitTrace is then one pointer compare. The caller owns the sink and must
-/// uninstall it (SetTraceSink(nullptr)) before destroying it.
+/// Process-wide sink registration: receives the spans of every thread that
+/// is not inside a request scope with a private sink (obs::TraceScope).
+/// Null (the default) disables emission there. The caller owns the sink
+/// and must uninstall it (SetTraceSink(nullptr)) before destroying it.
 void SetTraceSink(TraceSink* sink);
 TraceSink* GetTraceSink();
-
-inline bool TraceEnabled() { return GetTraceSink() != nullptr; }
-
-/// Delivers `event` to the installed sink, if any.
-void EmitTrace(const TraceEvent& event);
 
 }  // namespace deltamon::obs
 

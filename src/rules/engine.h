@@ -19,10 +19,11 @@ namespace deltamon {
 ///   ... updates ...
 ///   engine.db.Commit();   // deferred check phase runs here
 ///
-/// Single-threaded programs can keep using the database directly, exactly
-/// as above; `txn` only participates when sessions attach to it (the
-/// network server does), giving each session an optimistic transaction
-/// with snapshot reads and group-committed check phases.
+/// Embedded programs (benches, tests) may drive the database directly,
+/// exactly as above, from one thread. Every AMOSQL Session runs through
+/// `txn` instead: an optimistic transaction with snapshot reads, buffered
+/// writes and group-committed check phases, so sessions on any number of
+/// threads — the network server's connections included — share the engine.
 struct Engine {
   Engine() : rules(db, registry), txn(db, rules) {}
   Engine(const Engine&) = delete;

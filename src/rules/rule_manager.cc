@@ -578,13 +578,6 @@ Status RuleManager::CheckPhase(Database& db) {
                          : nullptr;
       obs::ScopedTimer action_timer(action_hist);
 #endif
-      if (obs::TraceEnabled()) {
-        obs::EmitTrace(obs::TraceEvent{
-            "rules",
-            "rule_fired",
-            {{"rule", static_cast<int64_t>(rule.id)},
-             {"instances", static_cast<int64_t>(instances.size())}}});
-      }
       if (rule.action != nullptr) {
         DELTAMON_RETURN_IF_ERROR(rule.action(db, act->params, instances));
       }

@@ -35,6 +35,7 @@ Status TransactionManager::Commit(TxnSnapshot& txn, obs::Profile* profiler) {
   Waiter w;
   w.txn = &txn;
   w.profiler = profiler;
+  w.scope = obs::CurrentTraceScope();
   w.enqueue_ns = NowNs();
 
   std::unique_lock<std::mutex> lk(qmu_);
@@ -66,17 +67,23 @@ std::vector<TransactionManager::Waiter*> TransactionManager::TakeBatchLocked() {
   std::vector<Waiter*> batch;
   while (!queue_.empty() && batch.size() < max_batch_) {
     Waiter* w = queue_.front();
-    // Profiled commits run solo: the per-literal profile must describe one
-    // transaction's check phase, not a shared wave.
-    if (w->profiler != nullptr && !batch.empty()) break;
+    // Solo commits run alone: a per-literal profile or a private span
+    // capture must describe one transaction's check phase, not a shared
+    // wave.
+    if (w->solo() && !batch.empty()) break;
     queue_.pop_front();
     batch.push_back(w);
-    if (w->profiler != nullptr) break;
+    if (w->solo()) break;
   }
   return batch;
 }
 
 void TransactionManager::CommitBatch(const std::vector<Waiter*>& batch) {
+  // A solo wave belongs to its committer's request, whichever thread leads
+  // it; a shared wave is traced under the leader's own scope.
+  const Waiter& front = *batch.front();
+  obs::ScopedTrace trace(front.solo() ? front.scope
+                                      : obs::CurrentTraceScope());
   std::unique_lock<std::shared_mutex> gate(engine_mu_);
   const uint64_t start_ns = NowNs();
   const uint64_t base_version = version_.load(std::memory_order_relaxed);

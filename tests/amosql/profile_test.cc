@@ -149,6 +149,9 @@ TEST_F(ProfileTest, TraceWritesChromeTraceFileAndPrintsSpanTree) {
   EXPECT_NE(report.find("\n  rules.round "), std::string::npos) << report;
   EXPECT_NE(report.find("propagation.wave "), std::string::npos) << report;
   EXPECT_NE(report.find("propagation.node:"), std::string::npos) << report;
+  // Which differential ran and which rule fired are spans, not events.
+  EXPECT_NE(report.find("propagation.Δ"), std::string::npos) << report;
+  EXPECT_NE(report.find("rules.fire:"), std::string::npos) << report;
   EXPECT_GT(doc->Get("traceEvents")->size(), 3u);
 #else
   EXPECT_NE(report.find("(no spans recorded)"), std::string::npos) << report;

@@ -1,9 +1,11 @@
 // End-to-end request tracing over real sockets: the HELLO trace-info
 // flag, the trace line in statement reports, the /debug/requests flight
 // recorder (phase decomposition, trace-id uniqueness across concurrent
-// clients), the slow-statement log, the /debug/network DOT endpoint, and
-// a concurrent recorder read/write probe for TSan. Runs under ASan and
-// TSan (ctest label "net").
+// clients), the slow-statement log, the /debug/network DOT endpoint, a
+// concurrent recorder read/write probe for TSan, and request-scoped span
+// attribution under concurrency (concurrent `trace` statements, an armed
+// slow log beside a blocked commit, 64 connections on a parallel engine).
+// Runs under ASan and TSan (ctest label "net").
 
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -13,10 +15,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "net/client.h"
@@ -25,6 +29,9 @@
 #include "net/socket.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
+#include "obs/report.h"
+#include "obs/span.h"
+#include "obs/trace.h"
 #include "rules/engine.h"
 
 namespace deltamon::net {
@@ -93,6 +100,25 @@ std::string HttpBody(const std::string& response) {
   const size_t split = response.find("\r\n\r\n");
   return split == std::string::npos ? std::string()
                                     : response.substr(split + 4);
+}
+
+/// The request id from a reply's "-- trace <id>: ..." line; 0 when absent.
+uint64_t TraceIdOf(const std::string& report) {
+  const size_t pos = report.find("-- trace ");
+  return pos == std::string::npos ? 0 : std::stoull(report.substr(pos + 9));
+}
+
+/// The distinct trace_id args of a Chrome trace document's events (-1 for
+/// an event without one) and the number of events.
+std::pair<std::set<int64_t>, size_t> ChromeTraceIds(const obs::Json& doc) {
+  std::set<int64_t> ids;
+  const obs::Json* events = doc.Get("traceEvents");
+  if (events == nullptr) return {ids, 0};
+  for (const obs::Json& e : events->array_items()) {
+    const obs::Json* id = e.Get("args")->Get("trace_id");
+    ids.insert(id == nullptr ? -1 : id->as_int());
+  }
+  return {ids, events->size()};
 }
 
 /// Polls /debug/requests until `want` records carrying `statement` are
@@ -377,6 +403,226 @@ TEST_F(TracingFixture, DebugNetworkServesDotForActiveRules) {
   response =
       AdminGet(server_->admin_port(), "/debug/network?rule=no_such_rule");
   EXPECT_NE(response.find("404 Not Found"), std::string::npos) << response;
+}
+
+TEST_F(TracingFixture, ConcurrentTraceStatementsKeepTheirOwnSpans) {
+  // Four connections on four workers each wrap their commits in `trace`.
+  // Each trace's ring travels in its own request scope, so no file may
+  // hold another request's spans, and no trace may leave a sink behind.
+  ServerOptions options;
+  options.num_workers = 4;
+  StartServer(options);
+  {
+    Result<Client> boot = Connect();
+    ASSERT_TRUE(boot.ok());
+    ASSERT_TRUE(boot->Execute("create function quantity(integer) -> integer;"
+                              "create rule floor() as"
+                              "  when for each integer i where quantity(i) < 0"
+                              "  do set quantity(i) = 0;"
+                              "activate floor();")
+                    .ok());
+  }
+  constexpr int kConnections = 4;
+  constexpr int kRounds = 300;
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConnections; ++c) {
+    threads.emplace_back([this, c] {
+      Result<Client> client = Connect(/*trace_info=*/true);
+      ASSERT_TRUE(client.ok());
+      const std::string path = ::testing::TempDir() + "deltamon_trace_t" +
+                               std::to_string(c) + ".json";
+      for (int i = 0; i < kRounds; ++i) {
+        Result<Client::Response> r = client->Execute(
+            "set quantity(" + std::to_string(c) + ") = " + std::to_string(i) +
+            "; trace \"" + path + "\" commit;");
+        ASSERT_TRUE(r.ok()) << r.status();
+        if (!obs::kRequestTracingEnabled) continue;
+        Result<std::string> text = obs::ReadTextFile(path);
+        ASSERT_TRUE(text.ok()) << text.status();
+        Result<obs::Json> doc = obs::Json::Parse(*text);
+        ASSERT_TRUE(doc.ok()) << doc.status();
+        const auto [ids, events] = ChromeTraceIds(*doc);
+        const int64_t want = static_cast<int64_t>(TraceIdOf(r->report));
+        ASSERT_TRUE(events > 0 && ids == std::set<int64_t>{want})
+            << "connection " << c << " round " << i << ": trace of request "
+            << want << " holds foreign spans: " << *text;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(obs::GetTraceSink(), nullptr);
+}
+
+TEST_F(TracingFixture, ArmedSlowLogDoesNotSerializeStatements) {
+  // Connection A's commit is parked in the paused commit queue while the
+  // slow log is armed; connection B, on the other worker, must still be
+  // served. The wait for B's reply is bounded so a serializing executor
+  // fails here instead of hanging.
+  ServerOptions options;
+  options.num_workers = 2;
+  StartServer(options);
+  Result<Client> a = Connect(/*trace_info=*/true);  // worker 0
+  Result<Client> b = Connect(/*trace_info=*/true);  // worker 1
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(a->Execute("create function quantity(integer) -> integer;"
+                         "create rule floor() as"
+                         "  when for each integer i where quantity(i) < 0"
+                         "  do set quantity(i) = 0;"
+                         "activate floor();"
+                         "set quantity(1) = 1; commit;")
+                  .ok());
+  obs::SlowLog::Global().set_threshold_ns(1);
+  obs::SlowLog::Global().Clear();
+
+  engine_.txn.SetCommitPaused(true);
+  Result<Client::Response> a_reply = Status::Internal("not run");
+  std::thread committer([&] {
+    a_reply = a->Execute("set quantity(1) = 2; commit;");
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (engine_.txn.queued_commits() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(engine_.txn.queued_commits(), 1u);
+  std::future<Result<Client::Response>> b_reply = std::async(
+      std::launch::async, [&] { return b->Execute("select quantity(1);"); });
+  EXPECT_EQ(b_reply.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "a select on another worker waited behind a queued commit";
+  engine_.txn.SetCommitPaused(false);
+  committer.join();
+  Result<Client::Response> b_result = b_reply.get();
+  ASSERT_TRUE(b_result.ok()) << b_result.status();
+  EXPECT_EQ(b_result->rows, std::vector<std::string>{"(1)"})
+      << "B reads the snapshot before A's commit";
+  ASSERT_TRUE(a_reply.ok()) << a_reply.status();
+
+  if (!obs::kRequestTracingEnabled) return;  // nothing is captured
+  const uint64_t a_id = TraceIdOf(a_reply->report);
+  ASSERT_NE(a_id, 0u);
+  bool found = false;
+  for (const obs::SlowRecord& slow : obs::SlowLog::Global().Snapshot()) {
+    // Every captured tree belongs to its own request alone.
+    const auto [ids, events] = ChromeTraceIds(slow.chrome_trace);
+    EXPECT_EQ(ids, std::set<int64_t>{
+                       static_cast<int64_t>(slow.context.trace_id)})
+        << slow.statement << "\n" << slow.span_tree;
+    if (slow.context.trace_id != a_id) continue;
+    found = true;
+    EXPECT_NE(slow.span_tree.find("rules.check_phase"), std::string::npos)
+        << slow.span_tree;
+  }
+  EXPECT_TRUE(found) << "A's commit is missing from the slow log";
+}
+
+TEST_F(TracingFixture, EverySpanCarriesItsRequestsTraceId) {
+  // 64 connections on 4 workers against a 4-thread engine, all traced
+  // into one global ring. A span belongs to the request whose statement
+  // subtree holds it; a pool worker's span to the (serialized) wave that
+  // was running when it ran.
+  if (!obs::kRequestTracingEnabled) {
+    GTEST_SKIP() << "spans are compiled out";
+  }
+  ServerOptions options;
+  options.num_workers = 4;
+  StartServer(options);
+  {
+    // Eight conditions over quantity: level 1 of the network has eight
+    // nodes, so every wave fans out over the pool.
+    std::string schema =
+        "create function quantity(integer) -> integer;"
+        "create function alarm(integer) -> integer;";
+    for (int r = 0; r < 8; ++r) {
+      const std::string name = "low" + std::to_string(r);
+      schema += "create rule " + name + "() as when for each integer i" +
+                " where quantity(i) < " + std::to_string(r - 3) +
+                " do set alarm(i) = " + std::to_string(r) + "; activate " +
+                name + "();";
+    }
+    schema += "set threads 4;";
+    Result<Client> boot = Connect();
+    ASSERT_TRUE(boot.ok());
+    ASSERT_TRUE(boot->Execute(schema).ok());
+  }
+
+  obs::RingTraceSink ring(1 << 18);
+  obs::SetTraceSink(&ring);
+  constexpr int kConnections = 64;
+  constexpr int kRounds = 3;
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConnections; ++c) {
+    threads.emplace_back([this, c] {
+      Result<Client> client = Connect();
+      ASSERT_TRUE(client.ok());
+      const std::string key = std::to_string(c);
+      for (int i = 0; i < kRounds; ++i) {
+        // Values dip below the low rules' bounds now and then, so waves
+        // fire actions as well as evaluate conditions.
+        const std::string value = std::to_string((c + i) % 7 - 2);
+        ASSERT_TRUE(client->Execute("select quantity(" + key + ");").ok());
+        ASSERT_TRUE(client
+                        ->Execute("set quantity(" + key + ") = " + value +
+                                  "; commit;")
+                        .ok());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  // Joining the workers orders their (and the pool's) ring writes before
+  // the reads below.
+  server_->Stop();
+  obs::SetTraceSink(nullptr);
+  EXPECT_EQ(ring.dropped_events(), 0u);
+
+  std::unordered_map<int64_t, const obs::TraceEvent*> by_id;
+  std::set<int64_t> statement_threads;
+  std::vector<const obs::TraceEvent*> waves;
+  for (const obs::TraceEvent& e : ring.events()) {
+    // Spans are the only trace events.
+    ASSERT_TRUE(obs::IsSpanEvent(e)) << e.ToString();
+    by_id[obs::SpanField(e, "span_id", 0)] = &e;
+    if (e.category == "amosql" && e.name == "statement") {
+      statement_threads.insert(obs::SpanField(e, "thread", 0));
+    }
+    if (e.category == "propagation" && e.name == "wave") waves.push_back(&e);
+  }
+  auto end_of = [](const obs::TraceEvent& e) {
+    return obs::SpanField(e, "start_ns", 0) + obs::SpanField(e, "dur_ns", 0);
+  };
+  size_t in_statements = 0;
+  size_t on_pool = 0;
+  for (const obs::TraceEvent& e : ring.events()) {
+    const int64_t trace_id = obs::SpanField(e, "trace_id", 0);
+    // Nearest amosql.statement ancestor (the span itself included).
+    const obs::TraceEvent* up = &e;
+    while (up != nullptr &&
+           !(up->category == "amosql" && up->name == "statement")) {
+      auto parent = by_id.find(obs::SpanField(*up, "parent_id", 0));
+      up = parent == by_id.end() ? nullptr : parent->second;
+    }
+    if (up != nullptr) {
+      ++in_statements;
+      EXPECT_EQ(trace_id, obs::SpanField(*up, "trace_id", -1))
+          << e.ToString() << " under " << up->ToString();
+    }
+    if (statement_threads.contains(obs::SpanField(e, "thread", 0))) continue;
+    ++on_pool;
+    std::vector<const obs::TraceEvent*> containing;
+    for (const obs::TraceEvent* wave : waves) {
+      if (obs::SpanField(*wave, "start_ns", 0) <=
+              obs::SpanField(e, "start_ns", 0) &&
+          end_of(e) <= end_of(*wave)) {
+        containing.push_back(wave);
+      }
+    }
+    ASSERT_EQ(containing.size(), 1u) << e.ToString();
+    EXPECT_EQ(trace_id, obs::SpanField(*containing[0], "trace_id", -1))
+        << e.ToString() << " during " << containing[0]->ToString();
+  }
+  EXPECT_GT(in_statements, 0u);
+  EXPECT_GT(on_pool, 0u) << "no wave ran on the pool";
 }
 
 // TSan probe: worker threads completing requests write into the global

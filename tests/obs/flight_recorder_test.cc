@@ -1,8 +1,8 @@
 /// Request tracing primitives: the trace-id mint, phase arithmetic on
 /// RequestRecord, the bounded FlightRecorder ring with its non-silent
 /// dropped counter, the /debug/requests and Chrome-trace JSON documents,
-/// the SlowLog ring + report formatter, and (when obs is compiled in)
-/// ScopedTraceId stamping every span with the current trace id.
+/// the SlowLog ring + report formatter, and (when obs is compiled in) the
+/// thread-local request trace scope that stamps and routes every span.
 
 #include "obs/flight_recorder.h"
 
@@ -10,6 +10,7 @@
 
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json.h"
@@ -259,36 +260,59 @@ TEST(SlowLogTest, OverflowEvictsOldestAndCountsDrops) {
 
 #if DELTAMON_OBS_ENABLED
 
-TEST(ScopedTraceIdTest, NestsAndRestores) {
+TEST(TraceScopeTest, NestsAndRestores) {
+  RingTraceSink ring(16);
   EXPECT_EQ(CurrentTraceId(), 0u);
+  EXPECT_EQ(CurrentTraceScope().sink, nullptr);
   {
-    ScopedTraceId outer(41);
+    ScopedTrace outer({41, &ring});
     EXPECT_EQ(CurrentTraceId(), 41u);
+    EXPECT_EQ(CurrentTraceScope().sink, &ring);
     {
-      ScopedTraceId inner(42);
+      ScopedTrace inner({42, nullptr});
       EXPECT_EQ(CurrentTraceId(), 42u);
+      EXPECT_EQ(CurrentTraceScope().sink, nullptr);
     }
     EXPECT_EQ(CurrentTraceId(), 41u);
+    EXPECT_EQ(CurrentTraceScope().sink, &ring);
   }
   EXPECT_EQ(CurrentTraceId(), 0u);
+  EXPECT_EQ(CurrentTraceScope().sink, nullptr);
 }
 
-TEST(ScopedTraceIdTest, SpansInheritTheCurrentTraceId) {
-  RingTraceSink ring(16);
+TEST(TraceScopeTest, ScopeIsPerThread) {
+  ScopedTrace scope({7, nullptr});
+  uint64_t seen = 1;
+  std::thread other([&seen] { seen = CurrentTraceId(); });
+  other.join();
+  EXPECT_EQ(seen, 0u) << "a scope belongs to the thread that installed it";
+  EXPECT_EQ(CurrentTraceId(), 7u);
+}
+
+TEST(TraceScopeTest, SpansInheritTheScope) {
+  RingTraceSink global(16);
+  RingTraceSink captured(16);
   TraceSink* previous = GetTraceSink();
-  SetTraceSink(&ring);
+  SetTraceSink(&global);
   SetEnabled(true);
   {
-    ScopedTraceId scope(1234);
+    ScopedTrace scope({1234, nullptr});
     Span traced("net", "statement");
+  }
+  {
+    // A private sink shadows the process-wide one for the scope.
+    ScopedTrace scope({99, &captured});
+    Span captured_span("net", "trace");
   }
   { Span untraced("net", "idle"); }
   SetTraceSink(previous);
 
-  ASSERT_EQ(ring.events().size(), 2u);
-  EXPECT_EQ(SpanField(ring.events()[0], "trace_id", 0), 1234);
+  ASSERT_EQ(global.events().size(), 2u);
+  EXPECT_EQ(SpanField(global.events()[0], "trace_id", 0), 1234);
   // Outside a request, spans carry no trace_id field at all.
-  EXPECT_EQ(SpanField(ring.events()[1], "trace_id", -1), -1);
+  EXPECT_EQ(SpanField(global.events()[1], "trace_id", -1), -1);
+  ASSERT_EQ(captured.events().size(), 1u);
+  EXPECT_EQ(SpanField(captured.events()[0], "trace_id", 0), 99);
 }
 
 #endif  // DELTAMON_OBS_ENABLED

@@ -136,7 +136,7 @@ TEST_F(SpanTest, ChromeTraceJsonIsLoadableCompleteEvents) {
 }
 
 TEST_F(SpanTest, NonSpanEventsAreSkippedByTheExporter) {
-  EmitTrace(TraceEvent{"propagation", "differential", {{"produced", 3}}});
+  ring_.OnEvent(TraceEvent{"test", "marker", {{"produced", 3}}});
   { Span span("rules", "round"); }
   Json doc = ChromeTraceJson(ring_.events());
   EXPECT_EQ(doc.Get("traceEvents")->size(), 1u);
@@ -169,7 +169,7 @@ TEST_F(SpanTest, FormatSpanTreePromotesOrphansToRoots) {
                    {"thread", 1},
                    {"start_ns", 100},
                    {"dur_ns", 50}};
-  EmitTrace(orphan);
+  ring_.OnEvent(orphan);
   std::string tree = FormatSpanTree(ring_.events());
   EXPECT_NE(tree.find("propagation.node "), std::string::npos) << tree;
 }

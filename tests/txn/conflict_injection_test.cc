@@ -19,8 +19,8 @@ namespace {
 class ConflictInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // The bootstrap session stays legacy (direct writes) like deltamond's
-    // --init path; it owns the rule so `note` firings land in firings_.
+    // The bootstrap session plays deltamond's --init script; it owns the
+    // rule so `note` firings land in firings_.
     boot_.RegisterProcedure(
         "note", [this](Database&, const std::vector<Value>& args) {
           firings_.emplace_back(args[0].AsInt(), args[1].AsInt());
@@ -36,8 +36,6 @@ class ConflictInjectionTest : public ::testing::Test {
         "set stock(2) = 20;"
         "commit;");
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    s1_.AttachTransactionManager(&engine_.txn);
-    s2_.AttachTransactionManager(&engine_.txn);
   }
 
   Status Exec(amosql::Session& s, const std::string& src) {

@@ -13,8 +13,6 @@ namespace {
 class TransactionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    s1_.AttachTransactionManager(&engine_.txn);
-    s2_.AttachTransactionManager(&engine_.txn);
     auto r = s1_.Execute(
         "create function stock(integer) -> integer;"
         "set stock(1) = 10;"
@@ -120,12 +118,30 @@ TEST_F(TransactionTest, DdlRidesTheNextCommitWave) {
   EXPECT_EQ(r->rows[0][0], Value(5));
 }
 
-TEST_F(TransactionTest, LegacySessionStillWorksAlongside) {
-  // A session never attached keeps the single-threaded behavior; it is
-  // only safe serially, which a test is.
-  amosql::Session legacy(engine_);
-  ASSERT_TRUE(legacy.Execute("set stock(9) = 90; commit;").status().ok());
-  EXPECT_EQ(Stock(s1_, 9), 90);
+TEST_F(TransactionTest, CommitAfterDdlAloneRunsTheWave) {
+  // `create instances` writes extent rows straight into the store; a fresh
+  // session's commit with nothing else buffered must still carry them
+  // through a wave instead of leaving them pending for someone else's.
+  amosql::Session fresh(engine_);
+  ASSERT_TRUE(Exec(fresh,
+                   "create type item;"
+                   "create function qty(item) -> integer;"
+                   "create rule stock_new() as"
+                   "  when for each item i where i = i"
+                   "  do set qty(i) = 0;"
+                   "activate stock_new();"
+                   "create item instances :a;")
+                  .ok());
+  const Database& db = engine_.db;
+  ASSERT_TRUE(db.HasPendingChanges()) << "the rule monitors the extent";
+  const uint64_t commits = db.stats().commits;
+  ASSERT_TRUE(Exec(fresh, "commit;").ok());
+  EXPECT_FALSE(db.HasPendingChanges());
+  EXPECT_EQ(db.stats().commits, commits + 1);
+  auto r = fresh.Execute("select qty(:a);");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u) << "the wave fired the rule for :a";
+  EXPECT_EQ(r->rows[0][0], Value(0));
 }
 
 }  // namespace

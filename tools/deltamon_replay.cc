@@ -91,6 +91,12 @@ int main(int argc, char** argv) {
                  init.status().ToString().c_str());
     return 1;
   }
+  if (session.txn_snapshot().HasWrites()) {
+    std::fprintf(stderr,
+                 "deltamon-replay: init script leaves uncommitted writes; "
+                 "end it with commit;\n");
+    return 1;
+  }
 
   if (threads >= 0) {
     engine.rules.SetNumThreads(static_cast<size_t>(threads));

@@ -160,6 +160,12 @@ int main(int argc, char** argv) {
                    r.status().ToString().c_str());
       return 1;
     }
+    if (bootstrap.txn_snapshot().HasWrites()) {
+      std::fprintf(stderr,
+                   "deltamond: init script leaves uncommitted writes; end "
+                   "it with commit;\n");
+      return 1;
+    }
   }
 
   net::Server server(engine, options);
