@@ -48,13 +48,15 @@ void RunMassiveTransaction(Engine& engine, const InventorySchema& schema,
 }
 
 template <MonitorMode kMode>
-void BM_Fig7(benchmark::State& state, bool kernels = true) {
+void BM_Fig7(benchmark::State& state, bool kernels = true,
+             bool provenance = false) {
   auto setup = SetupMonitorItems(static_cast<size_t>(state.range(0)), kMode);
   if (!setup.ok()) {
     state.SkipWithError(setup.status().ToString().c_str());
     return;
   }
   (*setup)->engine->rules.SetKernelsEnabled(kernels);
+  (*setup)->engine->rules.SetProvenanceEnabled(provenance);
   if (bench::ThreadsArg() > 0) {
     (*setup)->engine->rules.SetNumThreads(
         static_cast<size_t>(bench::ThreadsArg()));
@@ -63,6 +65,7 @@ void BM_Fig7(benchmark::State& state, bool kernels = true) {
   for (auto _ : state) {
     RunMassiveTransaction(*(*setup)->engine, (*setup)->schema, round++);
   }
+  (*setup)->engine->rules.SetProvenanceEnabled(false);
   state.counters["items"] = static_cast<double>(state.range(0));
   state.counters["updates_per_tx"] = static_cast<double>(3 * state.range(0));
 }
@@ -105,6 +108,18 @@ void BM_Fig7_Incremental(benchmark::State& state) {
 void BM_Fig7_IncrementalNoKernels(benchmark::State& state) {
   BM_Fig7<MonitorMode::kIncremental>(state, /*kernels=*/false);
 }
+/// `set provenance on;` over the same waves: lineage capture on a 3n-row
+/// Δ-set (|Δ| = 30 000 at 10 000 items). The gap to BM_Fig7_Incremental
+/// is the price of row-level provenance; no rule fires, so it is the
+/// propagation-side lineage bookkeeping alone.
+void BM_Fig7_IncrementalProvenance(benchmark::State& state) {
+  BM_Fig7<MonitorMode::kIncremental>(state, /*kernels=*/true,
+                                     /*provenance=*/true);
+}
+void BM_Fig7_IncrementalProvenanceNoKernels(benchmark::State& state) {
+  BM_Fig7<MonitorMode::kIncremental>(state, /*kernels=*/false,
+                                     /*provenance=*/true);
+}
 void BM_Fig7_Naive(benchmark::State& state) {
   BM_Fig7<MonitorMode::kNaive>(state);
 }
@@ -130,6 +145,14 @@ BENCHMARK(deltamon::BM_Fig7_Incremental)
     ->Range(10, 10000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(deltamon::BM_Fig7_IncrementalNoKernels)
+    ->RangeMultiplier(10)
+    ->Range(10, 10000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(deltamon::BM_Fig7_IncrementalProvenance)
+    ->RangeMultiplier(10)
+    ->Range(10, 10000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(deltamon::BM_Fig7_IncrementalProvenanceNoKernels)
     ->RangeMultiplier(10)
     ->Range(10, 10000)
     ->Unit(benchmark::kMillisecond);

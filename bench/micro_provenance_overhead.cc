@@ -1,10 +1,11 @@
 /// Microbenchmarks for firing provenance and wave capture: the commit
 /// path with both recorders off (the ordinary-transaction budget — one
-/// relaxed flag load each), with lineage capture armed (per-influent-row
-/// restricted evaluation plus ring appends), and with wave capture armed
-/// (Δ-set snapshots per round). CI diffs the *Off variants against the
-/// committed baseline report-only; the On variants document the price of
-/// `set provenance on;` / `set wave_capture on;` rather than gate it.
+/// relaxed flag load each), with lineage capture armed (lineage edges
+/// from each differential's one evaluation plus ring appends), and with
+/// wave capture armed (Δ-set snapshots per round). CI diffs the *Off
+/// variants against the committed baseline report-only; the On variants
+/// document the price of `set provenance on;` / `set wave_capture on;`
+/// rather than gate it.
 
 #include <benchmark/benchmark.h>
 
@@ -52,8 +53,8 @@ void BM_CommitProvenanceOff(benchmark::State& state) {
 }
 BENCHMARK(BM_CommitProvenanceOff)->Arg(100)->Arg(1000);
 
-/// `set provenance on;`: one restricted evaluation per influent row plus
-/// a FiringRecord (lineage export included) per firing.
+/// `set provenance on;`: one lineage edge per derivation plus a
+/// FiringRecord (lineage export included) per firing.
 void BM_CommitProvenanceOn(benchmark::State& state) {
   RunCommits(state, /*provenance=*/true, /*waves=*/false);
 }

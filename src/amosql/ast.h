@@ -264,8 +264,8 @@ struct SetSlowMsStmt {
 /// `set provenance on|off` — row-level firing provenance: propagation
 /// waves capture delta lineage and every firing records its instances'
 /// lineage trees (see `explain firing`). Off by default (lineage capture
-/// evaluates differentials once per influent row; docs/observability.md
-/// gives the cost model). Errors when observability is compiled out.
+/// adds bookkeeping per derivation; docs/observability.md gives the cost
+/// model). Errors when observability is compiled out.
 struct SetProvenanceStmt {
   bool on = false;
 };

@@ -86,16 +86,30 @@ Status Propagator::ProcessNode(
   DeltaSet overlay_slot;
   ctx.overlay_rel = rel;
   ctx.overlay_delta = &overlay_slot;
-  // Lineage capture re-runs each differential once per influent Δ-row,
-  // restricted to that row (same pointer-indirection contract as the
-  // overlay: the evaluator copies ctx by value, we mutate the pointee).
-  // With row == nullptr the restriction is dormant and every other
-  // evaluation — filters, fixpoint probes — behaves exactly as before.
-  objectlog::StateContext::RowRestriction restriction;
-  if (options_.lineage) ctx.restrict_delta = &restriction;
   objectlog::Evaluator evaluator(db_, registry_, ctx, cache);
   evaluator.EnableKernels(options_.kernels);
   if (options_.profiler != nullptr) evaluator.SetProfiler(&out->profile);
+
+  // Runs one partial differential — a single set-oriented evaluation —
+  // into `produced`. With lineage on, the same pass reports the influent
+  // Δ-row behind each derivation, recorded as a lineage edge.
+  objectlog::Derivations derivations;
+  auto run_differential = [&](const PartialDifferential& diff,
+                              TupleSet* produced) -> Status {
+    if (!options_.lineage) {
+      return evaluator.EvaluateClause(diff.clause, produced);
+    }
+    derivations.clear();
+    DELTAMON_RETURN_IF_ERROR(
+        evaluator.EvaluateClause(diff.clause, produced, &derivations));
+    const std::string via = diff.Name(db_.catalog());
+    for (objectlog::Derivation& d : derivations) {
+      out->lineage.AddParent(rel, diff.produces_plus, d.head,
+                             WaveLineage::Parent{diff.influent, diff.reads_plus,
+                                                 std::move(d.delta_row), via});
+    }
+    return Status::OK();
+  };
 
   DeltaSet acc;
   // Self-edges (linear recursion, paper §5 footnote) are iterated to a
@@ -121,10 +135,22 @@ Status Propagator::ProcessNode(
       if (diff_span.active()) diff_span.SetName(diff.Name(db_.catalog()));
       const objectlog::AggregateDef& def = *node.aggregate;
       TupleSet keys;
-      for (const TupleSet* delta_side :
-           {&src->second.plus(), &src->second.minus()}) {
-        for (const Tuple& t : *delta_side) {
-          keys.insert(t.Project(def.group_by));
+      // Lineage only: each group's source Δ-rows, bucketed in the same
+      // pass, so attributing a changed group costs its own rows.
+      std::unordered_map<Tuple, std::vector<WaveLineage::Parent>, TupleHash>
+          parents_by_key;
+      const std::string via =
+          options_.lineage ? diff.Name(db_.catalog()) : std::string();
+      for (bool src_plus : {true, false}) {
+        const TupleSet& side =
+            src_plus ? src->second.plus() : src->second.minus();
+        for (const Tuple& t : side) {
+          Tuple key = t.Project(def.group_by);
+          if (options_.lineage) {
+            parents_by_key[key].push_back(
+                WaveLineage::Parent{diff.influent, src_plus, t, via});
+          }
+          keys.insert(std::move(key));
         }
       }
       size_t produced_total = 0;
@@ -141,19 +167,12 @@ Status Propagator::ProcessNode(
         if (options_.lineage && !group_delta.empty()) {
           // A changed group's Δ rows descend from every source Δ-row of
           // that group — the re-aggregation read them all.
-          const std::string via = diff.Name(db_.catalog());
-          for (bool src_plus : {true, false}) {
-            const TupleSet& side =
-                src_plus ? src->second.plus() : src->second.minus();
-            for (const Tuple& t : side) {
-              if (!(t.Project(def.group_by) == key)) continue;
-              WaveLineage::Parent parent{diff.influent, src_plus, t, via};
-              for (const Tuple& o : group_delta.plus()) {
-                out->lineage.AddParent(rel, true, o, parent);
-              }
-              for (const Tuple& o : group_delta.minus()) {
-                out->lineage.AddParent(rel, false, o, parent);
-              }
+          for (const WaveLineage::Parent& parent : parents_by_key.at(key)) {
+            for (const Tuple& o : group_delta.plus()) {
+              out->lineage.AddParent(rel, true, o, parent);
+            }
+            for (const Tuple& o : group_delta.minus()) {
+              out->lineage.AddParent(rel, false, o, parent);
             }
           }
         }
@@ -181,31 +200,7 @@ Status Propagator::ProcessNode(
     TupleSet produced;
     DELTAMON_OBS_SPAN(diff_span, "propagation", "differential");
     if (diff_span.active()) diff_span.SetName(diff.Name(db_.catalog()));
-    if (options_.lineage) {
-      // One restricted evaluation per influent row: each row's emissions
-      // are exactly its contribution, and the union over rows equals the
-      // one-shot result — so acc, traces and stats are unchanged.
-      const std::string via = diff.Name(db_.catalog());
-      restriction.relation = diff.influent;
-      restriction.plus = diff.reads_plus;
-      TupleSet row_out;
-      for (const Tuple& t : *side) {
-        restriction.row = &t;
-        row_out.clear();
-        Status s = evaluator.EvaluateClause(diff.clause, &row_out);
-        restriction.row = nullptr;
-        DELTAMON_RETURN_IF_ERROR(s);
-        for (const Tuple& o : row_out) {
-          out->lineage.AddParent(
-              rel, diff.produces_plus, o,
-              WaveLineage::Parent{diff.influent, diff.reads_plus, t, via});
-          produced.insert(o);
-        }
-      }
-    } else {
-      DELTAMON_RETURN_IF_ERROR(evaluator.EvaluateClause(diff.clause,
-                                                        &produced));
-    }
+    DELTAMON_RETURN_IF_ERROR(run_differential(diff, &produced));
     diff_span.AddField("tuples_consumed",
                        static_cast<int64_t>(side->size()));
     diff_span.AddField("tuples_produced",
@@ -264,32 +259,7 @@ Status Propagator::ProcessNode(
           continue;
         }
         TupleSet produced;
-        if (options_.lineage) {
-          // Same per-row restriction as above; the restricted Δ-role path
-          // bypasses the overlay lookup, so the frontier rows resolve
-          // identically whether read via overlay or via restriction.
-          const std::string via = diff.Name(db_.catalog());
-          restriction.relation = diff.influent;
-          restriction.plus = diff.reads_plus;
-          TupleSet row_out;
-          for (const Tuple& t : side) {
-            restriction.row = &t;
-            row_out.clear();
-            Status s = evaluator.EvaluateClause(diff.clause, &row_out);
-            restriction.row = nullptr;
-            DELTAMON_RETURN_IF_ERROR(s);
-            for (const Tuple& o : row_out) {
-              out->lineage.AddParent(
-                  rel, diff.produces_plus, o,
-                  WaveLineage::Parent{diff.influent, diff.reads_plus, t,
-                                      via});
-              produced.insert(o);
-            }
-          }
-        } else {
-          DELTAMON_RETURN_IF_ERROR(
-              evaluator.EvaluateClause(diff.clause, &produced));
-        }
+        DELTAMON_RETURN_IF_ERROR(run_differential(diff, &produced));
         ++stats.differentials_executed;
         stats.tuples_propagated += produced.size();
         out->trace.push_back(

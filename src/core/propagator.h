@@ -114,13 +114,13 @@ struct PropagationOptions {
   /// pre-filters; docs/kernels.md). Results are identical either way;
   /// per-literal `access` labels in profiles reflect the chosen strategy.
   bool kernels = true;
-  /// Capture row-level delta lineage into PropagationResult::lineage:
-  /// every differential evaluates once per influent Δ-row (restricted via
-  /// StateContext::RowRestriction) so each produced tuple is attributed to
-  /// the exact rows it was derived from. Root Δ-sets, traces and stats are
-  /// unchanged — the per-row union equals the one-shot result — but the
-  /// per-row evaluation costs more (see docs/observability.md for the
-  /// model); off (the default) adds zero work to the hot path.
+  /// Capture row-level delta lineage into PropagationResult::lineage: each
+  /// differential still evaluates once, and that evaluation also reports
+  /// the influent Δ-row behind every derivation (Evaluator::EvaluateClause
+  /// `derivations`), so each produced tuple is attributed to the exact rows
+  /// it was derived from. Root Δ-sets, traces and stats are unchanged; the
+  /// extra cost is the lineage bookkeeping (see docs/observability.md for
+  /// the model). Off (the default) adds no work to the hot path.
   bool lineage = false;
 };
 

@@ -436,7 +436,9 @@ bool Server::FlushOut(Worker& w, Conn& c) {
   while (true) {
     bool kernel_full = false;
     while (!c.out.empty()) {
-      ssize_t n = ::write(c.fd, c.out.data(), c.out.size());
+      // MSG_NOSIGNAL: a peer that closed with replies in flight must come
+      // back as EPIPE here, not as a SIGPIPE that kills the host process.
+      ssize_t n = ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
       if (n > 0) {
         DELTAMON_OBS_COUNT("net.bytes_out", n);
         c.bytes_sent_total += static_cast<uint64_t>(n);
@@ -520,7 +522,7 @@ void Server::DrainAndCloseAll(Worker& w) {
   for (auto& [fd, conn] : w.conns) {
     while (!conn->out.empty() &&
            std::chrono::steady_clock::now() < deadline) {
-      ssize_t n = ::write(fd, conn->out.data(), conn->out.size());
+      ssize_t n = ::send(fd, conn->out.data(), conn->out.size(), MSG_NOSIGNAL);
       if (n > 0) {
         DELTAMON_OBS_COUNT("net.bytes_out", n);
         conn->bytes_sent_total += static_cast<uint64_t>(n);

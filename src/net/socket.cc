@@ -97,10 +97,10 @@ Status SetNoDelay(int fd) {
 
 Status WriteAll(int fd, std::string_view data) {
   while (!data.empty()) {
-    ssize_t n = ::write(fd, data.data(), data.size());
+    ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Errno("write");
+      return Errno("send");
     }
     data.remove_prefix(static_cast<size_t>(n));
   }

@@ -26,7 +26,8 @@ Result<int> ConnectTcp(const std::string& host, uint16_t port);
 Status SetNonBlocking(int fd);
 Status SetNoDelay(int fd);
 
-/// Blocking write of the whole buffer (retries on EINTR / partial writes).
+/// Blocking send of the whole buffer to socket `fd` (retries on EINTR /
+/// partial writes). A closed peer is an error status, never a SIGPIPE.
 Status WriteAll(int fd, std::string_view data);
 
 /// Blocking read of up to `n` bytes; 0 means orderly EOF.

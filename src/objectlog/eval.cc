@@ -734,39 +734,6 @@ Status Evaluator::EvalBodyImpl(const Clause& clause,
 
       // Δ-role literal: generate from one side of the influent's Δ-set.
       if (l.role != RelationRole::kExtent) {
-        // Lineage capture restricts the generator to one influent row: the
-        // emitted tuples are exactly that row's contribution (a clause has
-        // one Δ-role literal, so this is the only generator affected).
-        const StateContext::RowRestriction* only = ctx_.restrict_delta;
-        if (only != nullptr && only->row != nullptr &&
-            only->relation == l.relation &&
-            only->plus == (l.role == RelationRole::kDeltaPlus)) {
-          const Tuple& t = *only->row;
-          ++stats_.tuples_examined;
-          DELTAMON_PROF(++slot->bindings_tried);
-          std::vector<int> bound_here;
-          bool match = true;
-          for (size_t i = 0; i < l.args.size() && match; ++i) {
-            const Term& a = l.args[i];
-            if (a.is_const()) {
-              match = a.constant == t[i];
-            } else if (env[a.var].has_value()) {
-              match = *env[a.var] == t[i];
-            } else {
-              env[a.var] = t[i];
-              bound_here.push_back(a.var);
-            }
-          }
-          Status status = Status::OK();
-          if (match) {
-            stats_.bindings_produced += bound_here.size();
-            DELTAMON_PROF(++slot->rows_out);
-            status = EvalBodyImpl<kProfiled>(clause, order, step + 1, env,
-                                             state_override, emit, stop, prof);
-          }
-          for (int v : bound_here) env[v].reset();
-          return status;
-        }
         const DeltaSet* delta = ctx_.DeltaFor(l.relation);
         if (delta == nullptr) return Status::OK();
         const TupleSet& side = l.role == RelationRole::kDeltaPlus
@@ -875,18 +842,35 @@ Status Evaluator::EvalBodyImpl(const Clause& clause,
   return Status::Internal("unknown literal kind");
 }
 
-Status Evaluator::EvaluateClause(const Clause& clause, TupleSet* out) {
+Status Evaluator::EvaluateClause(const Clause& clause, TupleSet* out,
+                                 Derivations* derivations) {
   if (kernels_) {
-    DELTAMON_ASSIGN_OR_RETURN(bool handled,
-                              TryEvaluateClauseKernel(clause, out));
+    DELTAMON_ASSIGN_OR_RETURN(
+        bool handled, TryEvaluateClauseKernel(clause, out, derivations));
     if (handled) return Status::OK();
   }
-  return EvaluateClauseWithBindings(clause, {}, out);
+  return EvaluateClauseWithBindings(clause, {}, out, derivations);
 }
 
 Status Evaluator::EvaluateClauseWithBindings(
     const Clause& clause, const std::vector<std::pair<int, Value>>& bindings,
-    TupleSet* out) {
+    TupleSet* out, Derivations* derivations) {
+  // The Δ-role generator whose bound row each derivation reports.
+  const Literal* generator = nullptr;
+  if (derivations != nullptr) {
+    size_t ndelta = 0;
+    for (const Literal& l : clause.body) {
+      if (l.kind == Literal::Kind::kRelation &&
+          l.role != RelationRole::kExtent) {
+        generator = &l;
+        ++ndelta;
+      }
+    }
+    if (ndelta != 1) {
+      return Status::InvalidArgument(
+          "derivations need exactly one Δ-role literal");
+    }
+  }
   ++stats_.clause_evals;
   DELTAMON_OBS_SPAN(clause_span, "eval", "clause");
   if (clause_span.active()) {
@@ -915,14 +899,27 @@ Status Evaluator::EvaluateClauseWithBindings(
                       &db_.catalog().stats());
   }
   bool stop = false;
+  auto project = [&](const std::vector<Term>& terms, const Env& e,
+                     std::vector<Value>* vals) -> Status {
+    vals->reserve(terms.size());
+    for (const Term& t : terms) {
+      DELTAMON_ASSIGN_OR_RETURN(Value v, TermValue(t, e));
+      vals->push_back(std::move(v));
+    }
+    return Status::OK();
+  };
   auto emit = [&](const Env& e) -> Status {
     std::vector<Value> vals;
-    vals.reserve(clause.head_args.size());
-    for (const Term& t : clause.head_args) {
-      DELTAMON_ASSIGN_OR_RETURN(Value v, TermValue(t, e));
-      vals.push_back(std::move(v));
+    DELTAMON_RETURN_IF_ERROR(project(clause.head_args, e, &vals));
+    Tuple head(std::move(vals));
+    if (generator != nullptr) {
+      // Every term is a variable or a constant, and the generator's
+      // variables are bound by now: its args rebuild the Δ-row exactly.
+      std::vector<Value> row;
+      DELTAMON_RETURN_IF_ERROR(project(generator->args, e, &row));
+      derivations->push_back(Derivation{head, Tuple(std::move(row))});
     }
-    out->insert(Tuple(std::move(vals)));
+    out->insert(std::move(head));
     return Status::OK();
   };
   return EvalBody(clause, order, 0, env, std::nullopt, emit, &stop,

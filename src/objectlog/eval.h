@@ -58,23 +58,6 @@ struct StateContext {
   /// runs after overlays are applied, against the shared store.
   TxnSnapshot* txn = nullptr;
 
-  /// Restricts the Δ-role generator of a partial differential to a single
-  /// influent row. A differential clause has exactly one Δ-role literal
-  /// (the differenced one, placed first by OrderBody); when `restrict_delta`
-  /// is armed and matches that literal's (relation, polarity), the
-  /// generator iterates only `*row` instead of the whole Δ-side — so the
-  /// emitted head tuples are exactly the ones this row contributes, and
-  /// the union over all rows equals the unrestricted result. Used by the
-  /// lineage-capturing propagator; OLD-state rollback reads are unaffected.
-  /// Pointer indirection (like overlay_delta) because the evaluator copies
-  /// its context by value: the caller mutates the pointee between calls.
-  struct RowRestriction {
-    RelationId relation = kInvalidRelationId;
-    bool plus = true;
-    const Tuple* row = nullptr;
-  };
-  const RowRestriction* restrict_delta = nullptr;
-
   const DeltaSet* DeltaFor(RelationId rel) const {
     if (rel == overlay_rel && overlay_delta != nullptr) return overlay_delta;
     if (deltas == nullptr) return nullptr;
@@ -146,6 +129,15 @@ class EvalCache {
   uint64_t indexed_reuses_ = 0;
 };
 
+/// One derivation of a partial differential's head row: `delta_row` is the
+/// influent Δ-row the clause's Δ-role generator bound when `head` was
+/// produced (the row-level "which influent caused it" answer).
+struct Derivation {
+  Tuple head;
+  Tuple delta_row;
+};
+using Derivations = std::vector<Derivation>;
+
 /// Evaluates ObjectLog clauses against a database, honoring per-literal
 /// state (NEW/OLD) and Δ-role annotations produced by the differencer.
 /// Single-threaded; borrows all its inputs.
@@ -169,13 +161,19 @@ class Evaluator {
 
   /// Appends to `out` every head tuple derivable from `clause`. Δ-role
   /// literals read ctx.deltas; kOld literals read the rolled-back state.
-  Status EvaluateClause(const Clause& clause, TupleSet* out);
+  /// When `derivations` is non-null, the same evaluation also appends one
+  /// (head, Δ-row) pair per derivation found — possibly repeating a pair
+  /// reached along several join paths; the clause must then have exactly
+  /// one Δ-role literal, as every partial differential does.
+  Status EvaluateClause(const Clause& clause, TupleSet* out,
+                        Derivations* derivations = nullptr);
 
   /// Like EvaluateClause, with some variables pre-bound (e.g. binding a
   /// rule's condition instance while evaluating its action arguments).
   Status EvaluateClauseWithBindings(
       const Clause& clause,
-      const std::vector<std::pair<int, Value>>& bindings, TupleSet* out);
+      const std::vector<std::pair<int, Value>>& bindings, TupleSet* out,
+      Derivations* derivations = nullptr);
 
   /// Materializes the full extent of `rel` (base or derived) in `state`.
   /// For derived relations in kOld, every transitive base literal is
@@ -298,8 +296,10 @@ class Evaluator {
   /// Batch kernel entry point (eval_kernel.cc): attempts to evaluate the
   /// whole clause set-at-a-time over a columnar Δ-table. Returns true if it
   /// handled the clause (out filled), false to fall back to the
-  /// tuple-at-a-time interpreter (ineligible shape).
-  Result<bool> TryEvaluateClauseKernel(const Clause& clause, TupleSet* out);
+  /// tuple-at-a-time interpreter (ineligible shape). `derivations` as in
+  /// EvaluateClause.
+  Result<bool> TryEvaluateClauseKernel(const Clause& clause, TupleSet* out,
+                                       Derivations* derivations);
 
   /// True when a materialized extent of `rel` depends only on shared state:
   /// no transaction snapshot, and no relation in its dependency closure is

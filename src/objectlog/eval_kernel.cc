@@ -147,7 +147,8 @@ struct LiteralShape {
 }  // namespace
 
 Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
-                                                TupleSet* out) {
+                                                TupleSet* out,
+                                                Derivations* derivations) {
   // Transactional reads must flow through the snapshot's footprint
   // recording one probe at a time; the batch path stays out of the way.
   if (ctx_.txn != nullptr) return false;
@@ -243,10 +244,17 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
 
   // Liveness: needed_in[k] = variables read at steps >= k or by the head.
   // Each step's output batch keeps exactly bound ∩ needed_in[k+1].
+  // Derivations also read the generator's variables at the head, to
+  // rebuild the Δ-row each output row came from.
   std::vector<std::vector<bool>> needed_in(nsteps + 1,
                                            std::vector<bool>(nvars, false));
   for (const Term& h : clause.head_args) {
     if (h.is_var()) needed_in[nsteps][h.var] = true;
+  }
+  if (derivations != nullptr) {
+    for (const Term& t : body[order[0]].args) {
+      if (t.is_var()) needed_in[nsteps][t.var] = true;
+    }
   }
   for (size_t k = nsteps; k-- > 0;) {
     needed_in[k] = needed_in[k + 1];
@@ -298,38 +306,22 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
     obs::LiteralProfile* slot = cp ? &cp->slots[order[0]] : nullptr;
     StepTimer timer(slot);
     if (slot != nullptr) ++slot->rows_in;
-    // Lineage capture restricts the generator to one influent row — the
-    // kernel then computes exactly that row's contribution, matching the
-    // interpreter's restricted path tuple for tuple.
-    const StateContext::RowRestriction* only = ctx_.restrict_delta;
-    const bool restricted =
-        only != nullptr && only->row != nullptr &&
-        only->relation == dl.relation &&
-        only->plus == (dl.role == RelationRole::kDeltaPlus);
-    const DeltaSet* delta = restricted ? nullptr : ctx_.DeltaFor(dl.relation);
-    if (!restricted && delta == nullptr) {
-      return true;  // no change set: empty result
-    }
+    const DeltaSet* delta = ctx_.DeltaFor(dl.relation);
+    if (delta == nullptr) return true;  // no change set: empty result
+    const TupleSet& side = dl.role == RelationRole::kDeltaPlus
+                               ? delta->plus()
+                               : delta->minus();
     batch = MakeLayout(nvars, bound_after[0], needed_in[1]);
+    batch.table.Reserve(side.size());
     LiteralShape shape(dl, nvars);
-    auto append_row = [&](const Tuple& t) {
+    for (const Tuple& t : side) {
       ++stats_.tuples_examined;
       if (slot != nullptr) ++slot->bindings_tried;
-      if (!shape.Matches(t)) return;
+      if (!shape.Matches(t)) continue;
       for (size_t c = 0; c < batch.var_of_col.size(); ++c) {
         batch.table.AppendCell(c, t[shape.first_pos[batch.var_of_col[c]]]);
       }
       batch.table.FinishRow();
-    };
-    if (restricted) {
-      batch.table.Reserve(1);
-      append_row(*only->row);
-    } else {
-      const TupleSet& side = dl.role == RelationRole::kDeltaPlus
-                                 ? delta->plus()
-                                 : delta->minus();
-      batch.table.Reserve(side.size());
-      for (const Tuple& t : side) append_row(t);
     }
     stats_.bindings_produced +=
         batch.table.num_rows() * shape.distinct_vars.size();
@@ -668,19 +660,30 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
     if (slot != nullptr) slot->rows_out += batch.table.num_rows();
   }
 
-  // Head projection into the (deduplicating) result set.
-  std::vector<Operand> head_ops;
-  head_ops.reserve(clause.head_args.size());
-  for (const Term& h : clause.head_args) {
-    head_ops.push_back(CompileOperand(h, batch));
-  }
-  for (size_t row = 0; row < batch.table.num_rows(); ++row) {
+  // Head projection into the (deduplicating) result set; with derivations
+  // requested, the generator's args rebuild each row's Δ-row alongside.
+  auto compile = [&batch](const std::vector<Term>& terms) {
+    std::vector<Operand> ops;
+    ops.reserve(terms.size());
+    for (const Term& t : terms) ops.push_back(CompileOperand(t, batch));
+    return ops;
+  };
+  auto project = [&batch](const std::vector<Operand>& ops, size_t row) {
     std::vector<Value> vals;
-    vals.reserve(head_ops.size());
-    for (const Operand& o : head_ops) {
-      vals.push_back(OperandValue(o, batch, row));
+    vals.reserve(ops.size());
+    for (const Operand& o : ops) vals.push_back(OperandValue(o, batch, row));
+    return Tuple(std::move(vals));
+  };
+  const std::vector<Operand> head_ops = compile(clause.head_args);
+  const std::vector<Operand> delta_ops =
+      derivations != nullptr ? compile(body[order[0]].args)
+                             : std::vector<Operand>{};
+  for (size_t row = 0; row < batch.table.num_rows(); ++row) {
+    Tuple head = project(head_ops, row);
+    if (derivations != nullptr) {
+      derivations->push_back(Derivation{head, project(delta_ops, row)});
     }
-    out->insert(Tuple(std::move(vals)));
+    out->insert(std::move(head));
   }
   return true;
 }

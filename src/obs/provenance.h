@@ -54,7 +54,7 @@ struct FiringRecord {
 
 /// Bounded ring of the most recent firings, plus the enable flag the
 /// executor checks before arming lineage capture (one relaxed load on the
-/// no-provenance path; the per-row evaluation cost only exists while
+/// no-provenance path; the lineage bookkeeping only exists while
 /// enabled).
 class ProvenanceLog {
  public:

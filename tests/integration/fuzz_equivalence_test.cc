@@ -755,8 +755,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KernelSessionFuzzTest,
 /// Provenance determinism: with lineage capture armed, the exported
 /// lineage trees of every root Δ-row must be byte-identical for
 /// num_threads ∈ {1, 2, 4, 8} × kernels on/off — and arming capture must
-/// not change the root Δ-sets themselves (the per-row restricted
-/// evaluations union to exactly the one-shot result).
+/// not change the root Δ-sets themselves (the derivations are reported by
+/// the same one evaluation that produces them).
 
 std::string LineageDump(const core::PropagationResult& result,
                         RelationId root, const Catalog& catalog) {

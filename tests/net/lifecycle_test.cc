@@ -446,6 +446,46 @@ TEST_F(ServerFixture, BackpressurePausesWithoutLosingReplies) {
   server_->Stop();
 }
 
+TEST_F(ServerFixture, DisconnectWithRepliesInFlightKeepsServing) {
+  // A client that pipelines statements and hangs up without reading a
+  // single reply leaves the server writing into a reset socket. That must
+  // fail only this connection's write — not raise a SIGPIPE that kills the
+  // process embedding the server (this test binary).
+  ServerOptions options;
+  options.enable_admin = false;
+  StartServer(options);
+  {
+    Result<RawConn> conn = RawConn::Open(server_->port());
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(conn->Handshake().ok());
+    std::string wire;
+    for (int i = 0; i < 2000; ++i) {
+      AppendFrame(&wire, FrameType::kQuery, "show metrics;");
+    }
+    ASSERT_TRUE(conn->SendBytes(wire).ok());
+  }  // closed with every reply unread
+
+  {
+    Result<Client> client = Client::Connect("127.0.0.1", server_->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    Result<Client::Response> r = client->Execute(
+        "create function f(integer) -> integer; set f(1) = 2; commit;"
+        "select f(1);");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u);
+    EXPECT_EQ(r->rows[0], "(2)");
+  }
+  // Both connections are torn down, the abandoned one included.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server_->active_connections() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server_->active_connections(), 0);
+  server_->Stop();
+}
+
 TEST_F(ServerFixture, OnlyRuleCreatingSessionsAreRetired) {
   // The graveyard must grow with rule-creating sessions, not with every
   // connection ever served.

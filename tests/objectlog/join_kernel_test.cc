@@ -4,13 +4,16 @@
 /// path (kernels on) — and asserts identical result sets. Shape coverage:
 /// empty Δ-sets, duplicate join keys on both sides, Δ− differentials over
 /// rolled-back old state, wide tuples, negated and fully-bound literals,
-/// the build-vs-probe cost choice, and the semi-join pre-filter (with the
-/// strategy labels the kernels write into the per-literal profile).
+/// the build-vs-probe cost choice, the semi-join pre-filter (with the
+/// strategy labels the kernels write into the per-literal profile), and
+/// the (head, Δ-row) derivations lineage capture reads from one pass.
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "objectlog/eval.h"
@@ -307,6 +310,58 @@ TEST_F(JoinKernelTest, ArithmeticBindingAndCheck) {
   deltas.emplace(q, DeltaSet{plus, {}});
   // (1): 5+30=35 < 100 → (1,35). (2): 20+90=110 ≥ 100 → dropped.
   EXPECT_EQ(EvalBoth(c, deltas), (TupleSet{T({1, 35})}));
+}
+
+TEST_F(JoinKernelTest, DerivationsNameTheGeneratorRowInBothEngines) {
+  RelationId q = Stored("q", 3);
+  RelationId r = Stored("r", 2);
+  RelationId p = Stored("p", 2);
+  // p(X,Z) <- Δ+q(X,Y,7), r(Y,Z). Neither Y nor the constant reaches the
+  // head, yet every derivation must name its full Δ-row: head (1,8) has
+  // two of them, and (3,5,9) fails the constant.
+  Clause c;
+  c.head_relation = p;
+  c.num_vars = 3;
+  c.head_args = {Term::Var(0), Term::Var(2)};
+  c.body = {Literal::Relation(
+                q, {Term::Var(0), Term::Var(1), Term::Const(Value(7))}),
+            Literal::Relation(r, {Term::Var(1), Term::Var(2)})};
+  c.body[0].role = RelationRole::kDeltaPlus;
+  c.profile_label = "kernel_test";
+  ASSERT_TRUE(engine_.db.Insert(r, T({5, 8})).ok());
+  ASSERT_TRUE(engine_.db.Insert(r, T({6, 8})).ok());
+  ASSERT_TRUE(engine_.db.Insert(r, T({6, 9})).ok());
+  TupleSet plus{T({1, 5, 7}), T({1, 6, 7}), T({2, 6, 7}), T({3, 5, 9})};
+  std::unordered_map<RelationId, DeltaSet> deltas;
+  deltas.emplace(q, DeltaSet{plus, {}});
+  StateContext ctx;
+  ctx.deltas = &deltas;
+
+  const std::set<std::pair<Tuple, Tuple>> expected{
+      {T({1, 8}), T({1, 5, 7})}, {T({1, 8}), T({1, 6, 7})},
+      {T({1, 9}), T({1, 6, 7})}, {T({2, 8}), T({2, 6, 7})},
+      {T({2, 9}), T({2, 6, 7})}};
+  for (bool kernels : {false, true}) {
+    SCOPED_TRACE(kernels ? "kernels on" : "kernels off");
+    Evaluator ev(engine_.db, engine_.registry, ctx);
+    ev.EnableKernels(kernels);
+    TupleSet out;
+    Derivations derivations;
+    ASSERT_TRUE(ev.EvaluateClause(c, &out, &derivations).ok());
+    EXPECT_EQ(ev.stats().clause_evals, 1u);
+    std::set<std::pair<Tuple, Tuple>> got;
+    for (const Derivation& d : derivations) {
+      EXPECT_TRUE(out.contains(d.head));
+      got.emplace(d.head, d.delta_row);
+    }
+    EXPECT_EQ(got, expected);
+    EXPECT_EQ(out.size(), 4u);
+
+    // Without a Δ-role generator there is no row to report.
+    Clause no_generator = c;
+    no_generator.body[0].role = RelationRole::kExtent;
+    EXPECT_FALSE(ev.EvaluateClause(no_generator, &out, &derivations).ok());
+  }
 }
 
 }  // namespace

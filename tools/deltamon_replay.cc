@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "amosql/session.h"
+#include "flags.h"
 #include "obs/report.h"
 #include "obs/wave_recorder.h"
 #include "rules/wave_replay.h"
@@ -51,7 +52,9 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--init=", 7) == 0) {
       init_file = arg + 7;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = std::strtol(arg + 10, nullptr, 10);
+      if (!tools::ParseLong(arg, "--threads=", &threads)) {
+        return Usage(argv[0]);
+      }
     } else if (std::strcmp(arg, "--kernels=on") == 0) {
       kernels = 1;
     } else if (std::strcmp(arg, "--kernels=off") == 0) {

@@ -19,12 +19,14 @@
 #include <string>
 
 #include "amosql/session.h"
+#include "flags.h"
 #include "net/server.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 
 using namespace deltamon;
+using tools::ParseLong;
 
 namespace {
 
@@ -58,14 +60,6 @@ int Usage(const char* argv0) {
       "preload)\n",
       argv0, net::kDefaultMaxFrameSize);
   return 2;
-}
-
-bool ParseLong(const char* arg, const char* prefix, long* out) {
-  const size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) != 0) return false;
-  char* end = nullptr;
-  *out = std::strtol(arg + n, &end, 10);
-  return end != arg + n && *end == '\0' && *out >= 0;
 }
 
 /// The final shutdown report: counters and gauges as-is, histograms as a
