@@ -238,6 +238,12 @@ struct ResetMetricsStmt {};
 /// synchronous parallelism; results identical at any setting). 1 is the
 /// serial algorithm, 0 means hardware concurrency.
 struct SetThreadsStmt {
+  /// Largest accepted N, here and for `deltamon-replay --threads`. Far
+  /// above any useful level width; it keeps a client's request below the
+  /// point where std::thread fails to start a worker and the throw takes
+  /// the server down.
+  static constexpr int64_t kMaxThreads = 256;
+
   int64_t num_threads = 1;
 };
 

@@ -120,9 +120,11 @@ class Parser {
       Take();  // threads
       SetThreadsStmt st;
       st.num_threads = Take().int_value;
-      if (st.num_threads < 0) {
-        return Status::ParseError("thread count must be >= 0, at line " +
-                                  std::to_string(stmt.line));
+      if (st.num_threads < 0 || st.num_threads > SetThreadsStmt::kMaxThreads) {
+        return Status::ParseError(
+            "thread count must be between 0 and " +
+            std::to_string(SetThreadsStmt::kMaxThreads) + ", at line " +
+            std::to_string(stmt.line));
       }
       DELTAMON_RETURN_IF_ERROR(Expect(TokenKind::kSemicolon, "';'"));
       stmt.node = st;

@@ -3,6 +3,7 @@
 
 #include <initializer_list>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,24 @@ struct TupleHash {
 /// iterator/pointer stability contract, which is weaker than
 /// std::unordered_set's).
 using TupleSet = FlatHashSet<Tuple, TupleHash>;
+
+/// A partial-match pattern for scanning: one optional Value per column;
+/// engaged entries must match exactly.
+using ScanPattern = std::vector<std::optional<Value>>;
+
+/// True iff every engaged position of `pattern` equals that column of `t`
+/// (an empty or all-unbound pattern matches every tuple). The one pattern
+/// predicate behind relation scans, Δ-set views and read-footprint
+/// validation.
+inline bool TupleMatchesPattern(const Tuple& t, const ScanPattern& pattern) {
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    if (pattern[i].has_value() &&
+        (i >= t.arity() || !(t[i] == *pattern[i]))) {
+      return false;
+    }
+  }
+  return true;
+}
 
 /// Deterministically ordered copy of `set`, for stable iteration in tests,
 /// traces, and output.

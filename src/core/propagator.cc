@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
-#include <thread>
 #include <unordered_set>
 
 #include "common/thread_pool.h"
@@ -483,23 +481,11 @@ Result<PropagationResult> Propagator::Propagate(
     pending_parents[rel] = node.parents.size();
   }
 
-  // Resolve the execution mode: a provided pool's size wins; otherwise the
-  // thread knob (0 = hardware concurrency) decides, spinning up a
-  // temporary pool when needed. Workers keep private EvalCaches — pure
-  // memoization, so duplicated entries cost at most repeated work.
+  // The pool's size is the parallelism; no pool is the serial algorithm.
+  // Workers keep private EvalCaches — pure memoization, so duplicated
+  // entries cost at most repeated work.
   common::ThreadPool* pool = options_.pool;
-  std::unique_ptr<common::ThreadPool> local_pool;
-  size_t num_workers = options_.num_threads;
-  if (pool != nullptr) {
-    num_workers = pool->num_workers();
-  } else if (num_workers == 0) {
-    num_workers = std::thread::hardware_concurrency();
-    if (num_workers == 0) num_workers = 1;
-  }
-  if (num_workers > 1 && pool == nullptr) {
-    local_pool = std::make_unique<common::ThreadPool>(num_workers);
-    pool = local_pool.get();
-  }
+  const size_t num_workers = pool != nullptr ? pool->num_workers() : 1;
   // Evaluation caches: by default one fresh EvalCache per worker; a caller
   // that passes PropagationOptions::caches keeps them across waves, so
   // indexed recursive-fixpoint materializations survive when nothing they
@@ -555,7 +541,7 @@ Result<PropagationResult> Propagator::Propagate(
   for (size_t lvl = 1; lvl < levels.size(); ++lvl) {
     DELTAMON_OBS_SCOPED_TIMER(level_timer, "propagator.level_ns");
     const std::vector<RelationId>& level_nodes = levels[lvl];
-    if (num_workers <= 1 || level_nodes.size() <= 1 || pool == nullptr) {
+    if (num_workers <= 1 || level_nodes.size() <= 1) {
       for (RelationId rel : level_nodes) {
         NodeOutput out;
         out.status =

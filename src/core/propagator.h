@@ -81,18 +81,15 @@ struct PropagationResult {
 
 /// Execution knobs for one propagation wave.
 struct PropagationOptions {
-  /// Worker threads per level (level-synchronous parallelism): every node
-  /// of one network level reads only Δ-sets of strictly lower nodes plus
-  /// base state, so the nodes of a level evaluate concurrently and their
-  /// outputs are merged into the wave in the level's fixed node order —
-  /// making root_deltas, the TraceEntry sequence and Stats bit-identical
-  /// at any thread count. 1 (the default) is the classic serial algorithm;
-  /// 0 means std::thread::hardware_concurrency().
-  size_t num_threads = 1;
-  /// Reusable pool to run on; its num_workers() then determines the actual
-  /// parallelism (long-lived callers like RuleManager keep one pool sized
-  /// to their thread setting). When null and the effective thread count
-  /// exceeds 1, a temporary pool is created per Propagate() call.
+  /// Pool whose workers evaluate each level (level-synchronous
+  /// parallelism): every node of one network level reads only Δ-sets of
+  /// strictly lower nodes plus base state, so the nodes of a level evaluate
+  /// concurrently and their outputs are merged into the wave in the level's
+  /// fixed node order — making root_deltas, the TraceEntry sequence and
+  /// Stats bit-identical at any worker count. Its num_workers() is the
+  /// parallelism; null (the default) is the classic serial algorithm.
+  /// Long-lived callers (RuleManager) keep one pool sized to their thread
+  /// setting.
   common::ThreadPool* pool = nullptr;
   /// When non-null, every clause evaluated during the wave records
   /// per-literal counters: each worker writes a private profile and the
@@ -138,7 +135,7 @@ struct PropagationOptions {
 /// stay live for the whole wave because OLD-state reconstruction by logical
 /// rollback needs them.
 ///
-/// With options.num_threads > 1 the inner loop runs data-parallel per
+/// With a multi-worker options.pool the inner loop runs data-parallel per
 /// level (see PropagationOptions and docs/parallelism.md); results are
 /// deterministic and identical to the serial mode.
 class Propagator {

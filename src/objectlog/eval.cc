@@ -352,108 +352,51 @@ obs::ClauseProfile* Evaluator::BeginClauseProfile(const Clause& clause) {
 #endif
 }
 
+DeltaView Evaluator::ReadView(RelationId rel, EvalState state,
+                              bool stored) const {
+  if (state == EvalState::kOld) return DeltaView::Rollback(ctx_.DeltaFor(rel));
+  // Materialized views are propagation-internal and never transactional.
+  if (stored && ctx_.txn != nullptr) return ctx_.txn->View(rel);
+  return DeltaView();
+}
+
 Status Evaluator::ScanRelation(RelationId rel, EvalState state,
                                const ScanPattern& pattern,
                                const std::function<bool(const Tuple&)>& fn) {
   ++stats_.literal_probes;
+  auto examine = [this, &fn](const Tuple& t) {
+    ++stats_.tuples_examined;
+    return fn(t);
+  };
   const BaseRelation* stored = db_.catalog().GetBaseRelation(rel);
   const BaseRelation* base = stored;
   if (base == nullptr) base = ctx_.ViewFor(rel);  // materialized view
   if (base != nullptr) {
-    if (state == EvalState::kNew) {
-      // Transactional read of a stored relation: the overlay shadows the
-      // shared store (buffered deletes hidden, buffered inserts appended)
-      // and the probe pattern joins the read footprint. Materialized views
-      // are propagation-internal and never transactional.
-      const DeltaSet* overlay = nullptr;
-      if (ctx_.txn != nullptr && stored != nullptr) {
-        ctx_.txn->RecordScan(rel, pattern);
-        overlay = ctx_.txn->OverlayFor(rel);
-      }
-      if (overlay != nullptr && !overlay->empty()) {
-        bool keep_going = true;
-        base->Scan(pattern, [&](const Tuple& t) {
-          if (overlay->minus().contains(t)) return true;  // buffered delete
-          ++stats_.tuples_examined;
-          keep_going = fn(t);
-          return keep_going;
-        });
-        if (keep_going) {
-          for (const Tuple& t : overlay->plus()) {
-            if (!TupleMatchesPattern(t, pattern)) continue;
-            ++stats_.tuples_examined;
-            if (!fn(t)) break;
-          }
-        }
-        return Status::OK();
-      }
-      base->Scan(pattern, [&](const Tuple& t) {
-        ++stats_.tuples_examined;
-        return fn(t);
-      });
-      return Status::OK();
+    // A transactional read joins the snapshot's read footprint.
+    if (state == EvalState::kNew && stored != nullptr && ctx_.txn != nullptr) {
+      ctx_.txn->RecordScan(rel, pattern);
     }
-    // OLD state by logical rollback: new tuples minus Δ+, plus Δ−.
-    const DeltaSet* delta = ctx_.DeltaFor(rel);
-    if (delta == nullptr || delta->empty()) {
-      base->Scan(pattern, [&](const Tuple& t) {
-        ++stats_.tuples_examined;
-        return fn(t);
-      });
-      return Status::OK();
-    }
-    bool keep_going = true;
-    base->Scan(pattern, [&](const Tuple& t) {
-      if (delta->plus().contains(t)) return true;  // not present in OLD
-      ++stats_.tuples_examined;
-      keep_going = fn(t);
-      return keep_going;
-    });
-    if (keep_going) {
-      for (const Tuple& t : delta->minus()) {
-        bool match = true;
-        for (size_t i = 0; i < pattern.size(); ++i) {
-          if (pattern[i].has_value() && !(t[i] == *pattern[i])) {
-            match = false;
-            break;
-          }
-        }
-        if (!match) continue;
-        ++stats_.tuples_examined;
-        if (!fn(t)) break;
-      }
-    }
+    ReadView(rel, state, stored != nullptr)
+        .Scan(
+            pattern,
+            [base, &pattern](const auto& visit) { base->Scan(pattern, visit); },
+            examine);
     return Status::OK();
   }
 
   // Foreign functions (paper §3, [15]): extent from the registered C++
-  // implementation; OLD state by rolling back the user-injected Δ-set,
-  // exactly as for stored relations.
+  // implementation, which may ignore the pattern; OLD state by rolling back
+  // the user-injected Δ-set, exactly as for stored relations.
   if (const ForeignImpl* impl = registry_.GetForeign(rel)) {
-    auto matches = [&pattern](const Tuple& t) {
-      for (size_t i = 0; i < pattern.size(); ++i) {
-        if (pattern[i].has_value() && !(t[i] == *pattern[i])) return false;
-      }
-      return true;
-    };
-    const DeltaSet* delta =
-        state == EvalState::kOld ? ctx_.DeltaFor(rel) : nullptr;
-    bool keep_going = true;
-    DELTAMON_RETURN_IF_ERROR((*impl)(pattern, [&](const Tuple& t) {
-      if (!matches(t)) return true;  // impl may ignore the pattern
-      if (delta != nullptr && delta->plus().contains(t)) return true;
-      ++stats_.tuples_examined;
-      keep_going = fn(t);
-      return keep_going;
-    }));
-    if (delta != nullptr && keep_going) {
-      for (const Tuple& t : delta->minus()) {
-        if (!matches(t)) continue;
-        ++stats_.tuples_examined;
-        if (!fn(t)) break;
-      }
-    }
-    return Status::OK();
+    return ReadView(rel, state, /*stored=*/false)
+        .Scan(
+            pattern,
+            [impl, &pattern](const auto& visit) {
+              return (*impl)(pattern, [&pattern, &visit](const Tuple& t) {
+                return !TupleMatchesPattern(t, pattern) || visit(t);
+              });
+            },
+            examine);
   }
 
   // Aggregate views (§8 extension).
@@ -472,104 +415,40 @@ Status Evaluator::ScanRelation(RelationId rel, EvalState state,
   if (registry_.IsRecursive(rel)) {
     DELTAMON_ASSIGN_OR_RETURN(const BaseRelation* extent,
                               FixpointMaterialize(rel, state));
-    extent->Scan(pattern, [&](const Tuple& t) {
-      ++stats_.tuples_examined;
-      return fn(t);
-    });
+    extent->Scan(pattern, examine);
     return Status::OK();
   }
 
-  // Probe path: with bound pattern positions, push the bindings into the
-  // definition instead of materializing the whole view — a point/range
-  // query over the (indexed) base relations. Without this, probing a view
-  // once per outer tuple would cost O(|view|) each time.
-  bool has_bound = false;
-  for (const auto& p : pattern) {
-    if (p.has_value()) {
-      has_bound = true;
-      break;
+  // An extent materialized earlier in this wave is cheapest. Otherwise,
+  // with bound pattern positions, push the bindings into the definition
+  // instead of materializing the whole view — a point/range query over the
+  // (indexed) base relations. Without this, probing a view once per outer
+  // tuple would cost O(|view|) each time.
+  TupleSet* extent = cache_->Find(rel, state);
+  TupleSet probed;  // dedup across clauses and witnesses
+  if (extent == nullptr &&
+      std::any_of(pattern.begin(), pattern.end(),
+                  [](const auto& p) { return p.has_value(); })) {
+    for (const Clause& clause : *registry_.GetClauses(rel)) {
+      // Unbound-head positions of this clause could still mismatch a
+      // repeated pattern value; the final filter below handles that.
+      DELTAMON_RETURN_IF_ERROR(RunClause(
+          clause, pattern, Env(clause.num_vars), state,
+          [&](const Env& e) -> Status {
+            Tuple t;
+            DELTAMON_RETURN_IF_ERROR(Project(clause.head_args, e, &t));
+            probed.insert(std::move(t));
+            return Status::OK();
+          }));
     }
-  }
-  TupleSet* extent = has_bound ? nullptr : cache_->Find(rel, state);
-  if (has_bound && cache_->Find(rel, state) != nullptr) {
-    // Already materialized earlier in this wave: cheaper to reuse it than
-    // to re-derive (fall through to the filtering loop below).
-    extent = cache_->Find(rel, state);
-  } else if (has_bound) {
-    const std::vector<Clause>* clauses = registry_.GetClauses(rel);
-    std::optional<EvalState> override_state;
-    if (state == EvalState::kOld) override_state = EvalState::kOld;
-    TupleSet results;  // dedup across clauses and witnesses
-    for (const Clause& clause : *clauses) {
-      ++stats_.clause_evals;
-      Env env(clause.num_vars);
-      bool feasible = true;
-      for (size_t i = 0; i < clause.head_args.size() && feasible; ++i) {
-        if (!pattern[i].has_value()) continue;
-        const Term& h = clause.head_args[i];
-        if (h.is_const()) {
-          feasible = h.constant == *pattern[i];
-        } else if (env[h.var].has_value()) {
-          feasible = *env[h.var] == *pattern[i];
-        } else {
-          env[h.var] = *pattern[i];
-        }
-      }
-      if (!feasible) continue;
-      std::vector<bool> prebound(clause.num_vars, false);
-      for (int v = 0; v < clause.num_vars; ++v) {
-        prebound[v] = env[v].has_value();
-      }
-      std::vector<size_t> order = OrderBody(clause.body, clause.num_vars,
-                                            prebound, &db_.catalog().stats());
-      bool stop = false;
-      auto emit = [&](const Env& e) -> Status {
-        std::vector<Value> vals;
-        vals.reserve(clause.head_args.size());
-        for (const Term& t : clause.head_args) {
-          DELTAMON_ASSIGN_OR_RETURN(Value v, TermValue(t, e));
-          vals.push_back(std::move(v));
-        }
-        Tuple t(std::move(vals));
-        // Unbound-head positions of this clause could still mismatch a
-        // repeated pattern value; the final filter below handles that.
-        results.insert(std::move(t));
-        return Status::OK();
-      };
-      DELTAMON_RETURN_IF_ERROR(EvalBody(clause, order, 0, env, override_state,
-                                        emit, &stop,
-                                        BeginClauseProfile(clause)));
-    }
-    for (const Tuple& t : results) {
-      bool match = true;
-      for (size_t i = 0; i < pattern.size(); ++i) {
-        if (pattern[i].has_value() && !(t[i] == *pattern[i])) {
-          match = false;
-          break;
-        }
-      }
-      if (!match) continue;
-      ++stats_.tuples_examined;
-      if (!fn(t)) break;
-    }
-    return Status::OK();
-  }
-  if (extent == nullptr) {
+    extent = &probed;
+  } else if (extent == nullptr) {
     TupleSet materialized;
     DELTAMON_RETURN_IF_ERROR(Evaluate(rel, state, &materialized));
     extent = cache_->Insert(rel, state, std::move(materialized));
   }
   for (const Tuple& t : *extent) {
-    bool match = true;
-    for (size_t i = 0; i < pattern.size(); ++i) {
-      if (pattern[i].has_value() && !(t[i] == *pattern[i])) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
-    ++stats_.tuples_examined;
-    if (!fn(t)) break;
+    if (TupleMatchesPattern(t, pattern) && !examine(t)) break;
   }
   return Status::OK();
 }
@@ -580,17 +459,11 @@ Result<bool> Evaluator::Contains(RelationId rel, EvalState state,
   const BaseRelation* base = stored;
   if (base == nullptr) base = ctx_.ViewFor(rel);
   if (base != nullptr) {
-    if (state == EvalState::kNew) {
-      if (ctx_.txn != nullptr && stored != nullptr) {
-        ctx_.txn->RecordPointRead(rel, t);
-        return ctx_.txn->ViewContains(*stored, rel, t);
-      }
-      return base->Contains(t);
+    if (state == EvalState::kNew && stored != nullptr && ctx_.txn != nullptr) {
+      ctx_.txn->RecordPointRead(rel, t);
     }
-    const DeltaSet* delta = ctx_.DeltaFor(rel);
-    if (delta == nullptr || delta->empty()) return base->Contains(t);
-    if (delta->minus().contains(t)) return true;
-    return base->Contains(t) && !delta->plus().contains(t);
+    return ReadView(rel, state, stored != nullptr)
+        .Contains(t, [base](const Tuple& u) { return base->Contains(u); });
   }
   // Derived: use the memoized extent when available, otherwise run a point
   // query without materializing.
@@ -871,7 +744,6 @@ Status Evaluator::EvaluateClauseWithBindings(
           "derivations need exactly one Δ-role literal");
     }
   }
-  ++stats_.clause_evals;
   DELTAMON_OBS_SPAN(clause_span, "eval", "clause");
   if (clause_span.active()) {
     clause_span.SetName("clause:" +
@@ -881,10 +753,6 @@ Status Evaluator::EvaluateClauseWithBindings(
     clause_span.AddField("literals", static_cast<int64_t>(clause.body.size()));
     clause_span.AddField("bindings", static_cast<int64_t>(bindings.size()));
   }
-  std::vector<size_t> order =
-      OrderBody(clause.body, clause.num_vars,
-                std::vector<bool>(std::max(clause.num_vars, 0)),
-                &db_.catalog().stats());
   Env env(clause.num_vars);
   for (const auto& [var, value] : bindings) {
     if (var < 0 || var >= clause.num_vars) {
@@ -892,38 +760,64 @@ Status Evaluator::EvaluateClauseWithBindings(
     }
     env[var] = value;
   }
-  if (!bindings.empty()) {
-    std::vector<bool> prebound(clause.num_vars, false);
-    for (const auto& [var, value] : bindings) prebound[var] = true;
-    order = OrderBody(clause.body, clause.num_vars, prebound,
-                      &db_.catalog().stats());
+  return RunClause(
+      clause, ScanPattern{}, std::move(env), EvalState::kNew,
+      [&](const Env& e) -> Status {
+        Tuple head;
+        DELTAMON_RETURN_IF_ERROR(Project(clause.head_args, e, &head));
+        if (generator != nullptr) {
+          // Every term is a variable or a constant, and the generator's
+          // variables are bound by now: its args rebuild the Δ-row exactly.
+          Tuple row;
+          DELTAMON_RETURN_IF_ERROR(Project(generator->args, e, &row));
+          derivations->push_back(Derivation{head, std::move(row)});
+        }
+        out->insert(std::move(head));
+        return Status::OK();
+      });
+}
+
+Status Evaluator::RunClause(const Clause& clause,
+                            const ScanPattern& head_pattern, Env env,
+                            EvalState state,
+                            const std::function<Status(const Env&)>& emit,
+                            bool* stop) {
+  ++stats_.clause_evals;
+  bool never = false;
+  if (stop == nullptr) stop = &never;
+  for (size_t i = 0; i < head_pattern.size() && i < clause.head_args.size();
+       ++i) {
+    if (!head_pattern[i].has_value()) continue;
+    const Value& want = *head_pattern[i];
+    const Term& h = clause.head_args[i];
+    if (h.is_const()) {
+      if (!(h.constant == want)) return Status::OK();
+    } else if (env[h.var].has_value()) {
+      if (!(*env[h.var] == want)) return Status::OK();
+    } else {
+      env[h.var] = want;
+    }
   }
-  bool stop = false;
-  auto project = [&](const std::vector<Term>& terms, const Env& e,
-                     std::vector<Value>* vals) -> Status {
-    vals->reserve(terms.size());
-    for (const Term& t : terms) {
-      DELTAMON_ASSIGN_OR_RETURN(Value v, TermValue(t, e));
-      vals->push_back(std::move(v));
-    }
-    return Status::OK();
-  };
-  auto emit = [&](const Env& e) -> Status {
-    std::vector<Value> vals;
-    DELTAMON_RETURN_IF_ERROR(project(clause.head_args, e, &vals));
-    Tuple head(std::move(vals));
-    if (generator != nullptr) {
-      // Every term is a variable or a constant, and the generator's
-      // variables are bound by now: its args rebuild the Δ-row exactly.
-      std::vector<Value> row;
-      DELTAMON_RETURN_IF_ERROR(project(generator->args, e, &row));
-      derivations->push_back(Derivation{head, Tuple(std::move(row))});
-    }
-    out->insert(std::move(head));
-    return Status::OK();
-  };
-  return EvalBody(clause, order, 0, env, std::nullopt, emit, &stop,
+  std::vector<bool> prebound(env.size());
+  for (size_t v = 0; v < env.size(); ++v) prebound[v] = env[v].has_value();
+  std::vector<size_t> order = OrderBody(clause.body, clause.num_vars, prebound,
+                                        &db_.catalog().stats());
+  std::optional<EvalState> state_override;
+  if (state == EvalState::kOld) state_override = EvalState::kOld;
+  return EvalBody(clause, order, 0, env, state_override, emit, stop,
                   BeginClauseProfile(clause));
+}
+
+Status Evaluator::Project(const std::vector<Term>& terms, const Env& env,
+                          Tuple* out) const {
+  std::vector<Value> vals;
+  vals.reserve(terms.size());
+  for (const Term& t : terms) {
+    DELTAMON_ASSIGN_OR_RETURN(Value v, TermValue(t, env));
+    vals.push_back(std::move(v));
+  }
+  *out = Tuple(std::move(vals));
+  return Status::OK();
 }
 
 Status Evaluator::Evaluate(RelationId rel, EvalState state, TupleSet* out) {
@@ -942,29 +836,15 @@ Status Evaluator::Evaluate(RelationId rel, EvalState state, TupleSet* out) {
     return Status::NotFound("relation id " + std::to_string(rel) +
                             " has neither storage nor clauses");
   }
-  std::optional<EvalState> override_state;
-  if (state == EvalState::kOld) override_state = EvalState::kOld;
   for (const Clause& clause : *clauses) {
-    ++stats_.clause_evals;
-    std::vector<size_t> order =
-        OrderBody(clause.body, clause.num_vars,
-                  std::vector<bool>(std::max(clause.num_vars, 0)),
-                  &db_.catalog().stats());
-    Env env(clause.num_vars);
-    bool stop = false;
-    auto emit = [&](const Env& e) -> Status {
-      std::vector<Value> vals;
-      vals.reserve(clause.head_args.size());
-      for (const Term& t : clause.head_args) {
-        DELTAMON_ASSIGN_OR_RETURN(Value v, TermValue(t, e));
-        vals.push_back(std::move(v));
-      }
-      out->insert(Tuple(std::move(vals)));
-      return Status::OK();
-    };
-    DELTAMON_RETURN_IF_ERROR(EvalBody(clause, order, 0, env, override_state,
-                                      emit, &stop,
-                                      BeginClauseProfile(clause)));
+    DELTAMON_RETURN_IF_ERROR(RunClause(
+        clause, ScanPattern{}, Env(clause.num_vars), state,
+        [&](const Env& e) -> Status {
+          Tuple t;
+          DELTAMON_RETURN_IF_ERROR(Project(clause.head_args, e, &t));
+          out->insert(std::move(t));
+          return Status::OK();
+        }));
   }
   return Status::OK();
 }
@@ -975,10 +855,9 @@ Result<bool> Evaluator::Derivable(RelationId rel, EvalState state,
       ctx_.ViewFor(rel) != nullptr) {
     return Contains(rel, state, t);
   }
+  const ScanPattern pattern(t.values().begin(), t.values().end());
   if (registry_.GetAggregate(rel) != nullptr ||
       registry_.GetForeign(rel) != nullptr || registry_.IsRecursive(rel)) {
-    ScanPattern pattern(t.arity());
-    for (size_t i = 0; i < t.arity(); ++i) pattern[i] = t[i];
     bool found = false;
     DELTAMON_RETURN_IF_ERROR(
         ScanRelation(rel, state, pattern, [&found](const Tuple&) {
@@ -992,40 +871,19 @@ Result<bool> Evaluator::Derivable(RelationId rel, EvalState state,
     return Status::NotFound("relation id " + std::to_string(rel) +
                             " has neither storage nor clauses");
   }
-  std::optional<EvalState> override_state;
-  if (state == EvalState::kOld) override_state = EvalState::kOld;
+  bool found = false;
   for (const Clause& clause : *clauses) {
     if (clause.head_args.size() != t.arity()) {
       return Status::InvalidArgument("point query arity mismatch");
     }
-    ++stats_.clause_evals;
-    Env env(clause.num_vars);
-    bool feasible = true;
-    for (size_t i = 0; i < clause.head_args.size() && feasible; ++i) {
-      const Term& h = clause.head_args[i];
-      if (h.is_const()) {
-        feasible = h.constant == t[i];
-      } else if (env[h.var].has_value()) {
-        feasible = *env[h.var] == t[i];
-      } else {
-        env[h.var] = t[i];
-      }
-    }
-    if (!feasible) continue;
-    std::vector<bool> prebound(clause.num_vars, false);
-    for (int v = 0; v < clause.num_vars; ++v) prebound[v] = env[v].has_value();
-    std::vector<size_t> order = OrderBody(clause.body, clause.num_vars,
-                                          prebound, &db_.catalog().stats());
-    bool stop = false;
-    bool found = false;
-    auto emit = [&](const Env&) -> Status {
-      found = true;
-      stop = true;
-      return Status::OK();
-    };
-    DELTAMON_RETURN_IF_ERROR(EvalBody(clause, order, 0, env, override_state,
-                                      emit, &stop,
-                                      BeginClauseProfile(clause)));
+    // `found` doubles as the stop flag: the first witness answers.
+    DELTAMON_RETURN_IF_ERROR(RunClause(
+        clause, pattern, Env(clause.num_vars), state,
+        [&found](const Env&) -> Status {
+          found = true;
+          return Status::OK();
+        },
+        &found));
     if (found) return true;
   }
   return false;
@@ -1095,33 +953,18 @@ Result<const BaseRelation*> Evaluator::FixpointMaterialize(RelationId rel,
       std::make_unique<BaseRelation>(rel, db_.catalog().RelationName(rel),
                                      sig->ToSchema()),
       CacheRetainSafe(rel));
-  std::optional<EvalState> override_state;
-  if (state == EvalState::kOld) override_state = EvalState::kOld;
   constexpr int kMaxRounds = 100000;
   for (int round = 0; round < kMaxRounds; ++round) {
     TupleSet fresh;
     for (const Clause& clause : *clauses) {
-      ++stats_.clause_evals;
-      std::vector<size_t> order =
-          OrderBody(clause.body, clause.num_vars,
-                    std::vector<bool>(std::max(clause.num_vars, 0)),
-                    &db_.catalog().stats());
-      Env env(clause.num_vars);
-      bool stop = false;
-      auto emit = [&](const Env& e) -> Status {
-        std::vector<Value> vals;
-        vals.reserve(clause.head_args.size());
-        for (const Term& t : clause.head_args) {
-          DELTAMON_ASSIGN_OR_RETURN(Value v, TermValue(t, e));
-          vals.push_back(std::move(v));
-        }
-        Tuple t(std::move(vals));
-        if (!extent->Contains(t)) fresh.insert(std::move(t));
-        return Status::OK();
-      };
-      DELTAMON_RETURN_IF_ERROR(EvalBody(clause, order, 0, env, override_state,
-                                        emit, &stop,
-                                        BeginClauseProfile(clause)));
+      DELTAMON_RETURN_IF_ERROR(RunClause(
+          clause, ScanPattern{}, Env(clause.num_vars), state,
+          [&](const Env& e) -> Status {
+            Tuple t;
+            DELTAMON_RETURN_IF_ERROR(Project(clause.head_args, e, &t));
+            if (!extent->Contains(t)) fresh.insert(std::move(t));
+            return Status::OK();
+          }));
     }
     if (fresh.empty()) return extent;
     for (const Tuple& t : fresh) extent->Insert(t);
@@ -1205,14 +1048,7 @@ Status Evaluator::ScanAggregate(RelationId /*rel*/, const AggregateDef& def,
     Tuple row = key.Concat(
         Tuple{def.func == AggregateDef::Func::kCount ? Value(acc.count)
                                                      : acc.value});
-    bool match = true;
-    for (size_t i = 0; i < pattern.size() && i < row.arity(); ++i) {
-      if (pattern[i].has_value() && !(row[i] == *pattern[i])) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
+    if (!TupleMatchesPattern(row, pattern)) continue;
     ++stats_.tuples_examined;
     if (!fn(row)) break;
   }

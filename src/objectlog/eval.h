@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "delta/delta_set.h"
+#include "delta/delta_view.h"
 #include "objectlog/ast.h"
 #include "objectlog/registry.h"
 #include "obs/profile.h"
@@ -236,6 +237,30 @@ class Evaluator {
 
  private:
   using Env = std::vector<std::optional<Value>>;
+
+  /// Runs one clause — the interpreter's only path into EvalBody: binds the
+  /// head arguments to the engaged positions of `head_pattern` (returning
+  /// at once when a bound value contradicts a head constant or a repeated
+  /// head variable), orders the body around every variable bound so far in
+  /// `env`, and evaluates it, calling `emit` per satisfying environment
+  /// until `emit` sets `*stop` (null: run to completion). `state` kOld
+  /// forces every extent literal into the OLD state; kNew keeps each
+  /// literal's own annotation. Counts one clause_evals per call, feasible
+  /// or not.
+  Status RunClause(const Clause& clause, const ScanPattern& head_pattern,
+                   Env env, EvalState state,
+                   const std::function<Status(const Env&)>& emit,
+                   bool* stop = nullptr);
+
+  /// Sets `*out` to the tuple of `terms`' values under `env`.
+  Status Project(const std::vector<Term>& terms, const Env& env,
+                 Tuple* out) const;
+
+  /// How a read of `rel`'s extent (a stored relation, materialized view or
+  /// foreign function) in `state` meets its Δ-set: OLD reads roll
+  /// ctx.deltas back; NEW reads of a `stored` relation inside a transaction
+  /// see its overlay; everything else reads the extent as is.
+  DeltaView ReadView(RelationId rel, EvalState state, bool stored) const;
 
   /// Forces every extent-role literal into `state` when state_override is
   /// engaged (used to evaluate a whole relation in the old state).

@@ -7,6 +7,7 @@
 
 #include "common/tuple.h"
 #include "delta/delta_set.h"
+#include "delta/delta_view.h"
 
 namespace deltamon::relalg {
 
@@ -31,16 +32,17 @@ TupleSet Join(const TupleSet& q, const TupleSet& r, const JoinColumns& on);
 
 /// A lazy view of a relation's OLD state over its new state and Δ-set
 /// (paper fig. 3: S_old = (S_new ∪ Δ−S) − Δ+S) — membership tests and
-/// iteration without materializing a copy. This is what lets the negative
-/// partial-differential columns run in time proportional to the Δ-sets.
+/// iteration without materializing a copy, answered by DeltaView::Rollback.
+/// This is what lets the negative partial-differential columns run in time
+/// proportional to the Δ-sets.
 class OldStateView {
  public:
   OldStateView(const TupleSet& new_state, const DeltaSet& delta)
       : new_state_(new_state), delta_(delta) {}
 
   bool contains(const Tuple& t) const {
-    if (delta_.minus().contains(t)) return true;
-    return new_state_.contains(t) && !delta_.plus().contains(t);
+    return DeltaView::Rollback(&delta_).Contains(
+        t, [this](const Tuple& u) { return new_state_.contains(u); });
   }
 
   size_t size() const {
@@ -51,13 +53,14 @@ class OldStateView {
   /// false to stop.
   template <typename Fn>
   void ForEach(Fn fn) const {
-    for (const Tuple& t : new_state_) {
-      if (delta_.plus().contains(t)) continue;
-      if (!fn(t)) return;
-    }
-    for (const Tuple& t : delta_.minus()) {
-      if (!fn(t)) return;
-    }
+    DeltaView::Rollback(&delta_).Scan(
+        ScanPattern{},
+        [this](const auto& visit) {
+          for (const Tuple& t : new_state_) {
+            if (!visit(t)) return;
+          }
+        },
+        fn);
   }
 
  private:

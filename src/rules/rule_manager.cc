@@ -374,7 +374,6 @@ Status RuleManager::RunIncrementalRound(
     store = &view_store_;
   }
   core::PropagationOptions popts;
-  popts.num_threads = num_threads_;
   popts.pool = pool_.get();
   popts.profiler = profiler_;
   popts.kernels = kernels_enabled_;
@@ -499,22 +498,19 @@ Status RuleManager::CheckPhase(Database& db) {
     } else if (mode_ == MonitorMode::kHybrid) {
       size_t total = 0;
       for (const auto& [rel, d] : deltas) total += d.size();
-      if (hybrid_threshold_.has_value()) {
-        incremental = total <= *hybrid_threshold_;
-      } else {
-        // Cost model: incremental work scales with the changed tuples,
-        // naive with the influent extents; switch near the crossover.
-        size_t influent_tuples = 0;
-        std::unordered_set<RelationId> seen;
-        for (const Activation& act : activations_) {
-          for (RelationId rel : act.influents) {
-            if (!seen.insert(rel).second) continue;
-            const BaseRelation* base = db.catalog().GetBaseRelation(rel);
-            if (base != nullptr) influent_tuples += base->size();
-          }
+      // Cost model: incremental work scales with the changed tuples, naive
+      // with the influent extents; switch near the crossover observed in
+      // bench/hybrid_crossover (changes above half the influent tuples).
+      size_t influent_tuples = 0;
+      std::unordered_set<RelationId> seen;
+      for (const Activation& act : activations_) {
+        for (RelationId rel : act.influents) {
+          if (!seen.insert(rel).second) continue;
+          const BaseRelation* base = db.catalog().GetBaseRelation(rel);
+          if (base != nullptr) influent_tuples += base->size();
         }
-        incremental = 2 * total <= influent_tuples;
       }
+      incremental = 2 * total <= influent_tuples;
     }
     DELTAMON_RETURN_IF_ERROR(incremental ? RunIncrementalRound(db, deltas)
                                          : RunNaiveRound(db, deltas));

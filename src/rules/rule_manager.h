@@ -112,15 +112,6 @@ class RuleManager {
   /// rebuild (i.e. the next activation change or explicit rebuild).
   void SetNetworkOptions(core::BuildOptions options);
 
-  /// Hybrid mode's default cost model switches to naive recomputation when
-  /// the round's changed tuples exceed half the total size of the monitored
-  /// influent relations (the crossover observed in bench/hybrid_crossover).
-  /// This sets an absolute override instead: naive whenever more than
-  /// `tuples` base tuples changed. Pass std::nullopt to restore the model.
-  void SetHybridThreshold(std::optional<size_t> tuples) {
-    hybrid_threshold_ = tuples;
-  }
-
   /// Maximum rule-processing rounds per check phase before reporting a
   /// non-terminating rule set.
   void SetMaxRounds(size_t rounds) { max_rounds_ = rounds; }
@@ -277,7 +268,6 @@ class RuleManager {
   objectlog::DerivedRegistry& registry_;
   MonitorMode mode_ = MonitorMode::kIncremental;
   core::BuildOptions build_options_;
-  std::optional<size_t> hybrid_threshold_;
   size_t max_rounds_ = 1000;
   size_t num_threads_ = 1;
   /// Sized to num_threads_; null while serial.

@@ -110,13 +110,6 @@ bool BaseRelation::Delete(const Tuple& t) {
   return true;
 }
 
-bool BaseRelation::Matches(const Tuple& t, const ScanPattern& pattern) {
-  for (size_t i = 0; i < pattern.size(); ++i) {
-    if (pattern[i].has_value() && !(t[i] == *pattern[i])) return false;
-  }
-  return true;
-}
-
 void BaseRelation::EnsureIndex(size_t column) const {
   if (column >= num_columns_ || Index(column) != nullptr) return;
   // Double-checked build: concurrent readers may race to here on the first
@@ -159,7 +152,7 @@ void BaseRelation::Scan(const ScanPattern& pattern,
     auto range = Index(c)->equal_range(*pattern[c]);
     for (auto it = range.first; it != range.second; ++it) {
       const Tuple& t = rows_.At(it->second);
-      if (Matches(t, pattern)) {
+      if (TupleMatchesPattern(t, pattern)) {
         if (!fn(t)) return;
       }
     }

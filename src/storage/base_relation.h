@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -55,10 +54,6 @@ class Schema {
  private:
   std::vector<ColumnType> columns_;
 };
-
-/// A partial-match pattern for scanning: one optional Value per column;
-/// engaged entries must match exactly.
-using ScanPattern = std::vector<std::optional<Value>>;
 
 /// A stored base relation (an AMOS "stored function"): a set of typed
 /// tuples with lazily built per-column hash indexes.
@@ -127,8 +122,6 @@ class BaseRelation {
   /// elements contiguously). Positions are append-only stable; Delete's
   /// swap-remove moves the last tuple, so Delete patches its entries.
   using ColumnIndex = std::unordered_multimap<Value, uint32_t, ValueHash>;
-
-  static bool Matches(const Tuple& t, const ScanPattern& pattern);
 
   ColumnIndex* Index(size_t column) const {
     return indexes_[column].load(std::memory_order_acquire);

@@ -4,15 +4,6 @@
 
 namespace deltamon {
 
-bool TupleMatchesPattern(const Tuple& t, const ScanPattern& pattern) {
-  if (pattern.empty()) return true;
-  if (pattern.size() != t.arity()) return false;
-  for (size_t i = 0; i < pattern.size(); ++i) {
-    if (pattern[i].has_value() && !(*pattern[i] == t[i])) return false;
-  }
-  return true;
-}
-
 namespace {
 
 bool PatternIsFull(const ScanPattern& pattern) {
@@ -55,19 +46,16 @@ void TxnSnapshot::Reset(uint64_t version) {
   reads_.clear();
 }
 
-const DeltaSet* TxnSnapshot::OverlayFor(RelationId rel) const {
+DeltaView TxnSnapshot::View(RelationId rel) const {
   auto it = writes_.find(rel);
-  return it == writes_.end() ? nullptr : &it->second;
+  return DeltaView::Forward(it == writes_.end() ? nullptr : &it->second);
 }
 
 bool TxnSnapshot::ViewContains(const BaseRelation& base, RelationId rel,
                                const Tuple& t) const {
-  const DeltaSet* overlay = OverlayFor(rel);
-  if (overlay != nullptr) {
-    if (overlay->plus().contains(t)) return true;
-    if (overlay->minus().contains(t)) return false;
-  }
-  return base.Contains(t);
+  return View(rel).Contains(t, [&base](const Tuple& u) {
+    return base.Contains(u);
+  });
 }
 
 void TxnSnapshot::RecordScan(RelationId rel, const ScanPattern& pattern) {
@@ -136,28 +124,20 @@ Status TxnSnapshot::BufferSet(const Catalog& catalog, RelationId rel,
   const Tuple replacement = args.Concat(results);
   DELTAMON_RETURN_IF_ERROR(base->schema().TypeCheck(replacement));
 
-  // Collect the view tuples with this argument prefix: stored tuples not
-  // buffered-deleted, plus buffered inserts. The prefix probe is the read
-  // this statement depends on.
+  // Collect the view tuples with this argument prefix. The prefix probe is
+  // the read this statement depends on.
   ScanPattern pattern(base->arity());
   for (size_t i = 0; i < args.arity(); ++i) pattern[i] = args[i];
   RecordScan(rel, pattern);
 
   std::vector<Tuple> old_tuples;
-  {
-    const DeltaSet* overlay = OverlayFor(rel);
-    base->Scan(pattern, [&](const Tuple& t) {
-      if (overlay == nullptr || !overlay->minus().contains(t)) {
+  View(rel).Scan(
+      pattern,
+      [&](const auto& visit) { base->Scan(pattern, visit); },
+      [&old_tuples](const Tuple& t) {
         old_tuples.push_back(t);
-      }
-      return true;
-    });
-    if (overlay != nullptr) {
-      for (const Tuple& t : overlay->plus()) {
-        if (TupleMatchesPattern(t, pattern)) old_tuples.push_back(t);
-      }
-    }
-  }
+        return true;
+      });
   DeltaSet& overlay = writes_[rel];
   for (const Tuple& t : old_tuples) overlay.ApplyDelete(t);
   overlay.ApplyInsert(replacement);

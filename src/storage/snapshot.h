@@ -9,14 +9,10 @@
 #include "common/status.h"
 #include "common/tuple.h"
 #include "delta/delta_set.h"
+#include "delta/delta_view.h"
 #include "storage/catalog.h"
 
 namespace deltamon {
-
-/// True iff `t` matches `pattern` (bound positions equal; empty pattern
-/// matches everything). The same predicate BaseRelation::Scan applies,
-/// exposed for footprint validation.
-bool TupleMatchesPattern(const Tuple& t, const ScanPattern& pattern);
 
 /// What one transaction read from one base relation, at scan-pattern
 /// granularity: the patterns it probed/scanned with, or `full` when it
@@ -76,12 +72,10 @@ class TxnSnapshot {
   /// `version` — begin, abort, and post-commit reset are all this.
   void Reset(uint64_t version);
 
-  /// The transaction's private Δ-set over `rel`, or null if untouched.
-  const DeltaSet* OverlayFor(RelationId rel) const;
-
-  /// Membership in the transaction's view of `rel` (overlay over `base`).
-  bool ViewContains(const BaseRelation& base, RelationId rel,
-                    const Tuple& t) const;
+  /// The transaction's view of stored relation `rel`: the store seen
+  /// forward through the transaction's private Δ-set (the identity view
+  /// while `rel` is untouched).
+  DeltaView View(RelationId rel) const;
 
   /// --- Read recording (evaluator hooks) --------------------------------
   void RecordScan(RelationId rel, const ScanPattern& pattern);
@@ -108,6 +102,10 @@ class TxnSnapshot {
   CommitInfo last_commit;
 
  private:
+  /// Membership in the transaction's view of `rel` (overlay over `base`).
+  bool ViewContains(const BaseRelation& base, RelationId rel,
+                    const Tuple& t) const;
+
   Result<const BaseRelation*> CheckedBase(const Catalog& catalog,
                                           RelationId rel,
                                           const Tuple& t) const;

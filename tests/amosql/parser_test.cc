@@ -153,6 +153,7 @@ TEST(ParserTest, SetThreadsRejectsMalformedCounts) {
   EXPECT_FALSE(Parse("set threads -1;").ok());
   EXPECT_FALSE(Parse("set threads two;").ok());
   EXPECT_FALSE(Parse("set threads 2").ok());
+  EXPECT_FALSE(Parse("set threads 100000;").ok());
 }
 
 TEST(ParserTest, SetKernels) {

@@ -6,11 +6,13 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
 
 #include "common/tuple.h"
 #include "common/value.h"
 #include "delta/delta_set.h"
+#include "delta/delta_view.h"
 
 namespace {
 
@@ -129,6 +131,40 @@ TEST(AllocCountTest, WarmEraseInsertCycleDoesNotAllocate) {
   ASSERT_TRUE(s.insert(std::move(replacement)).second);
   EXPECT_EQ(AllocCount(), before)
       << "stable-size erase/insert cycle must not touch the heap";
+}
+
+TEST(AllocCountTest, DeltaViewScanThroughStdFunctionDoesNotAllocate) {
+#if !DELTAMON_ALLOC_COUNTS_RELIABLE
+  GTEST_SKIP() << "allocation counting unreliable under sanitizers";
+#endif
+  // Stored relations take their scan visitor as a std::function, so the
+  // visitor a Δ-set view hands over must fit its small buffer: a scan
+  // through a rollback or overlay view allocates no more than a plain one.
+  TupleSet base;
+  for (int64_t i = 0; i < 20; ++i) base.insert(Tuple{Value(i)});
+  // `base` is the NEW state after `delta`, and the OLD state before `undo`.
+  DeltaSet delta(TupleSet{Tuple{Value(int64_t{3})}},
+                 TupleSet{Tuple{Value(int64_t{99})}});
+  DeltaSet undo(delta.minus(), delta.plus());
+  auto scan = [&base](const std::function<bool(const Tuple&)>& visit) {
+    for (const Tuple& t : base) {
+      if (!visit(t)) return;
+    }
+  };
+  size_t seen = 0;
+  auto count = [&seen](const Tuple&) {
+    ++seen;
+    return true;
+  };
+  const ScanPattern all;
+
+  uint64_t before = AllocCount();
+  for (const DeltaView& view :
+       {DeltaView(), DeltaView::Rollback(&delta), DeltaView::Forward(&undo)}) {
+    view.Scan(all, [&scan](const auto& visit) { scan(visit); }, count);
+  }
+  EXPECT_EQ(AllocCount(), before) << "Δ-set view scans must not touch the heap";
+  EXPECT_EQ(seen, 20u + 20u + 20u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/network.h"
 #include "core/propagator.h"
 #include "obs/metrics.h"
@@ -200,8 +201,9 @@ std::string VariantName(const Variant& v) {
 /// exported lineage tree of every root Δ-row, in sorted row order.
 std::string ExportRootLineage(Engine& engine, const PropagationNetwork& net,
                               RelationId root, const Variant& v) {
+  common::ThreadPool pool(v.threads);
   PropagationOptions options;
-  options.num_threads = v.threads;
+  options.pool = &pool;
   options.kernels = v.kernels;
   options.lineage = true;
   Propagator propagator(engine.db, engine.registry, net, nullptr, options);

@@ -1,8 +1,12 @@
 #include "delta/delta_set.h"
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "delta/delta_view.h"
 
 namespace deltamon {
 namespace {
@@ -198,6 +202,77 @@ TEST_P(DeltaPropertyTest, DeltaUnionComposesSequentialDiffs) {
   TupleSet s2 = mutate(s1, &d2);
   // ∪Δ of consecutive deltas equals the end-to-end diff.
   EXPECT_EQ(DeltaUnion(d1, d2), DiffStates(s0, s2));
+}
+
+TEST_P(DeltaPropertyTest, DeltaViewsReadTheMaterializedStates) {
+  std::mt19937 rng(GetParam() ^ 0x5EED);
+  std::uniform_int_distribution<int64_t> key(0, 5);
+  TupleSet old_state;
+  for (int i = 0; i < 15; ++i) old_state.insert(T(key(rng), key(rng)));
+  TupleSet new_state = old_state;
+  DeltaSet delta;
+  for (int i = 0; i < 20; ++i) {
+    Tuple t = T(key(rng), key(rng));
+    if (rng() % 2 == 0) {
+      if (new_state.insert(t).second) delta.ApplyInsert(t);
+    } else {
+      if (new_state.erase(t) > 0) delta.ApplyDelete(t);
+    }
+  }
+  auto matching = [](const TupleSet& s, const ScanPattern& pattern) {
+    TupleSet out;
+    for (const Tuple& t : s) {
+      if (TupleMatchesPattern(t, pattern)) out.insert(t);
+    }
+    return out;
+  };
+  // The view over `base` must read exactly `expected`, for every pattern.
+  auto check = [&](const DeltaView& view, const TupleSet& base,
+                   const TupleSet& expected) {
+    for (int i = 0; i < 8; ++i) {
+      ScanPattern pattern(2);
+      for (auto& p : pattern) {
+        if (rng() % 2 == 0) p = Value(key(rng));
+      }
+      auto scan_base = [&base, &pattern](const auto& visit) {
+        for (const Tuple& t : base) {
+          if (TupleMatchesPattern(t, pattern) && !visit(t)) return;
+        }
+      };
+      const TupleSet want = matching(expected, pattern);
+      std::vector<Tuple> seen;
+      view.Scan(pattern, scan_base, [&seen](const Tuple& t) {
+        seen.push_back(t);
+        return true;
+      });
+      TupleSet got;
+      for (const Tuple& t : seen) got.insert(t);
+      EXPECT_EQ(got.size(), seen.size()) << "a tuple was emitted twice";
+      EXPECT_EQ(got, want);
+      // An early stop is honoured in either phase of the scan.
+      const size_t limit = rng() % (want.size() + 1);
+      size_t emitted = 0;
+      view.Scan(pattern, scan_base,
+                [&emitted, limit](const Tuple&) { return ++emitted < limit; });
+      EXPECT_EQ(emitted, std::min(std::max<size_t>(limit, 1), want.size()));
+    }
+    for (int64_t a = 0; a <= 5; ++a) {
+      for (int64_t b = 0; b <= 5; ++b) {
+        EXPECT_EQ(view.Contains(T(a, b),
+                                [&base](const Tuple& t) {
+                                  return base.contains(t);
+                                }),
+                  expected.contains(T(a, b)));
+      }
+    }
+  };
+  check(DeltaView::Rollback(&delta), new_state,
+        RollbackToOldState(new_state, delta));
+  check(DeltaView::Forward(&delta), old_state, ApplyDelta(old_state, delta));
+  // No Δ-set, or an empty one, reads S as it is.
+  const DeltaSet none;
+  check(DeltaView::Rollback(nullptr), new_state, new_state);
+  check(DeltaView::Forward(&none), old_state, old_state);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaPropertyTest,

@@ -4,14 +4,14 @@
 /// exactly, every wave:
 ///
 ///   naive        full recomputation, diffed against the old extent
-///   serial       incremental propagation, num_threads = 1
-///   parallel     incremental propagation, num_threads = 2 and 8
+///   serial       incremental propagation, 1 worker
+///   parallel     incremental propagation, 2 and 8 pool workers
 ///
 /// Agreement means identical root Δ-sets AND identical Explain() influent
 /// sets (the explainability answer must not depend on the thread count).
 /// A companion determinism suite checks the stronger claim: the FULL
-/// TraceEntry sequence and Stats are bit-identical for num_threads
-/// ∈ {1, 2, 4, 8}.
+/// TraceEntry sequence and Stats are bit-identical for 1, 2, 4 and 8
+/// workers.
 ///
 /// Every assertion message carries the seed, so a failure reproduces with
 /// a one-line filter.
@@ -284,7 +284,11 @@ TEST_P(FuzzEquivalenceTest, NaiveSerialParallelAgree) {
       {root}, scenario.engine_.registry, db.catalog(), options);
   ASSERT_TRUE(net.ok()) << net.status().ToString();
 
-  const size_t kThreadVariants[] = {1, 2, 8};
+  // One pool per thread count; a 1-worker pool runs the serial algorithm.
+  common::ThreadPool pool1(1);
+  common::ThreadPool pool2(2);
+  common::ThreadPool pool8(8);
+  common::ThreadPool* const kPools[] = {&pool1, &pool2, &pool8};
   for (int tx = 0; tx < 12; ++tx) {
     SCOPED_TRACE("seed " + std::to_string(config.seed) + " tx " +
                  std::to_string(tx));
@@ -304,7 +308,8 @@ TEST_P(FuzzEquivalenceTest, NaiveSerialParallelAgree) {
     auto deltas = db.TakePendingDeltas();
 
     std::vector<std::string> serial_explain;
-    for (size_t threads : kThreadVariants) {
+    for (common::ThreadPool* pool : kPools) {
+      const size_t threads = pool->num_workers();
       // A fresh store per variant: extents are brought forward by the
       // wave, so sharing one store across variants would double-apply.
       core::MaterializedViewStore store;
@@ -315,7 +320,7 @@ TEST_P(FuzzEquivalenceTest, NaiveSerialParallelAgree) {
                         .ok());
       }
       core::PropagationOptions popts;
-      popts.num_threads = threads;
+      popts.pool = pool;
       core::Propagator propagator(db, scenario.engine_.registry, *net,
                                   config.materialize ? &store : nullptr,
                                   popts);
@@ -398,7 +403,7 @@ TEST_P(ThreadDeterminismTest, TraceAndStatsAreBitIdenticalAcrossThreadCounts) {
     for (common::ThreadPool* pool : pools) {
       obs::Profile profile;
       core::PropagationOptions popts;
-      popts.pool = pool;  // null → serial (num_threads defaults to 1)
+      popts.pool = pool;  // null → serial
       popts.profiler = &profile;
       core::Propagator propagator(db, scenario.engine_.registry, *net,
                                   nullptr, popts);

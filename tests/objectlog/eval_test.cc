@@ -1,5 +1,7 @@
 #include "objectlog/eval.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "rules/engine.h"
@@ -272,6 +274,95 @@ TEST_F(EvalTest, StatsCountWork) {
   ASSERT_TRUE(ev.Evaluate(p_, EvalState::kNew, &out).ok());
   EXPECT_GT(ev.stats().clause_evals, 0u);
   EXPECT_GT(ev.stats().tuples_examined, 0u);
+}
+
+/// "clauses C, probes P, examined E, bindings B" — the evaluator's work.
+std::string Work(const Evaluator& ev) {
+  const Evaluator::Stats& s = ev.stats();
+  return "clauses " + std::to_string(s.clause_evals) + ", probes " +
+         std::to_string(s.literal_probes) + ", examined " +
+         std::to_string(s.tuples_examined) + ", bindings " +
+         std::to_string(s.bindings_produced);
+}
+
+/// The interpreter's clause paths and both Δ-set views (OLD-state rollback,
+/// transaction overlay) do a fixed amount of work for a fixed scenario; a
+/// change to either must keep these counts and the read footprint.
+TEST_F(EvalTest, StatsPinnedForFixedScenario) {
+  Populate();  // q(1,1); r(1,2), r(2,3)
+  Catalog& cat = engine_.db.catalog();
+  // v(X, 1) <- q(X, Y).   v(X, 2) <- r(X, Y).
+  RelationId v = *cat.CreateDerivedFunction(
+      "v_tagged", FunctionSignature{{}, {IntCol(), IntCol()}});
+  for (RelationId rel : {q_, r_}) {
+    Clause c;
+    c.head_relation = v;
+    c.num_vars = 2;
+    c.head_args = {Term::Var(0), Term::Const(Value(rel == q_ ? 1 : 2))};
+    c.body = {Literal::Relation(rel, {Term::Var(0), Term::Var(1)})};
+    ASSERT_TRUE(engine_.registry.Define(v, std::move(c), cat).ok());
+  }
+  engine_.db.MarkMonitored(q_);
+  engine_.db.MarkMonitored(r_);
+  ASSERT_TRUE(engine_.db.Commit().ok());
+
+  {
+    // A transactional select over a buffered overlay.
+    TxnSnapshot txn;
+    ASSERT_TRUE(txn.BufferInsert(cat, q_, T(2, 2)).ok());
+    ASSERT_TRUE(txn.BufferDelete(cat, r_, T(2, 3)).ok());
+    ASSERT_TRUE(txn.BufferInsert(cat, r_, T(2, 4)).ok());
+    StateContext ctx;
+    ctx.txn = &txn;
+    Evaluator ev(engine_.db, engine_.registry, ctx);
+    TupleSet out;
+    ASSERT_TRUE(ev.Evaluate(p_, EvalState::kNew, &out).ok());
+    EXPECT_EQ(out, (TupleSet{T(1, 2), T(2, 4)}));
+    EXPECT_TRUE(*ev.Derivable(q_, EvalState::kNew, T(2, 2)));
+    EXPECT_FALSE(*ev.Derivable(r_, EvalState::kNew, T(2, 3)));
+    EXPECT_EQ(Work(ev), "clauses 1, probes 3, examined 4, bindings 6");
+    // The read footprint: a full scan of q, point reads and prefix probes
+    // of r.
+    EXPECT_TRUE(txn.reads().at(q_).full);
+    EXPECT_FALSE(txn.reads().at(r_).full);
+    EXPECT_EQ(txn.reads().at(r_).patterns.size(), 4u);
+  }
+
+  // Pending changes: Δ+q = {(2,2)}, Δ+r = {(2,5)}, Δ−r = {(1,2)}.
+  ASSERT_TRUE(engine_.db.Insert(q_, T(2, 2)).ok());
+  ASSERT_TRUE(engine_.db.Delete(r_, T(1, 2)).ok());
+  ASSERT_TRUE(engine_.db.Insert(r_, T(2, 5)).ok());
+  StateContext ctx;
+  ctx.deltas = &engine_.db.PendingDeltas();
+  {
+    // An OLD-state Evaluate.
+    Evaluator ev(engine_.db, engine_.registry, ctx);
+    TupleSet out;
+    ASSERT_TRUE(ev.Evaluate(p_, EvalState::kOld, &out).ok());
+    EXPECT_EQ(out, (TupleSet{T(1, 2)}));
+    EXPECT_EQ(Work(ev), "clauses 1, probes 2, examined 2, bindings 3");
+  }
+  {
+    // Derivable: one head-infeasible clause, one witness, one miss.
+    Evaluator ev(engine_.db, engine_.registry, ctx);
+    EXPECT_TRUE(*ev.Derivable(v, EvalState::kOld, T(2, 2)));
+    EXPECT_TRUE(*ev.Derivable(v, EvalState::kOld, T(1, 1)));
+    EXPECT_FALSE(*ev.Derivable(p_, EvalState::kNew, T(1, 2)));
+    EXPECT_EQ(Work(ev), "clauses 4, probes 4, examined 3, bindings 3");
+  }
+  {
+    // Probes with a partial pattern on derived relations.
+    Evaluator ev(engine_.db, engine_.registry, ctx);
+    TupleSet out;
+    ASSERT_TRUE(
+        ev.Probe(v, EvalState::kNew, {std::nullopt, Value(2)}, &out).ok());
+    EXPECT_EQ(out, (TupleSet{T(2, 2)}));
+    out.clear();
+    ASSERT_TRUE(
+        ev.Probe(p_, EvalState::kOld, {Value(1), std::nullopt}, &out).ok());
+    EXPECT_EQ(out, (TupleSet{T(1, 2)}));
+    EXPECT_EQ(Work(ev), "clauses 3, probes 5, examined 6, bindings 6");
+  }
 }
 
 TEST_F(EvalTest, UnknownRelationReportsNotFound) {

@@ -223,5 +223,61 @@ TEST(ForeignFunctionEvalTest, OldStateByInjectedDeltaRollback) {
   EXPECT_EQ(old_rows, (TupleSet{T(1, 50)}));
 }
 
+TEST(ForeignFunctionEvalTest, OldStateProbeOnAnIgnoredColumn) {
+  Engine engine;
+  Catalog& cat = engine.db.catalog();
+  SensorWorld world;
+  RelationId temp = *cat.CreateForeignFunction(
+      "temp", FunctionSignature{{IntCol()}, {IntCol()}});
+  ASSERT_TRUE(engine.registry.RegisterForeign(temp, world.MakeImpl(), cat)
+                  .ok());
+  world.SetReading(1, 50);
+  world.SetReading(2, 60);
+  world.SetReading(3, 60);
+  world.SetReading(4, 80);
+  DeltaSet delta = world.SetReading(1, 60);  // 50 -> 60
+  delta.DeltaUnion(world.SetReading(3, 75));  // 60 -> 75
+
+  std::unordered_map<RelationId, DeltaSet> deltas;
+  deltas.emplace(temp, delta);
+  objectlog::StateContext ctx;
+  ctx.deltas = &deltas;
+  objectlog::Evaluator ev(engine.db, engine.registry, ctx);
+  // Only the temperature is bound, and the implementation only exploits a
+  // bound room: it hands over every reading, matching or not.
+  const ScanPattern at_60 = {std::nullopt, Value(60)};
+  TupleSet old_rows, new_rows;
+  ASSERT_TRUE(ev.Probe(temp, EvalState::kOld, at_60, &old_rows).ok());
+  ASSERT_TRUE(ev.Probe(temp, EvalState::kNew, at_60, &new_rows).ok());
+  EXPECT_EQ(old_rows, (TupleSet{T(2, 60), T(3, 60)}));
+  EXPECT_EQ(new_rows, (TupleSet{T(1, 60), T(2, 60)}));
+}
+
+TEST(ForeignFunctionEvalTest, FailureMidOldScanEmitsNoRolledBackRow) {
+  Engine engine;
+  Catalog& cat = engine.db.catalog();
+  RelationId temp = *cat.CreateForeignFunction(
+      "temp", FunctionSignature{{IntCol()}, {IntCol()}});
+  // A feed that drops after two readings.
+  auto flaky = [](const ScanPattern&,
+                  const std::function<bool(const Tuple&)>& emit) {
+    emit(T(1, 60));
+    emit(T(2, 60));
+    return Status::Internal("sensor feed dropped");
+  };
+  ASSERT_TRUE(engine.registry.RegisterForeign(temp, flaky, cat).ok());
+
+  // Room 1 went 50 -> 60, so the OLD state rolls (1, 50) back in.
+  std::unordered_map<RelationId, DeltaSet> deltas;
+  deltas.emplace(temp, DeltaSet({T(1, 60)}, {T(1, 50)}));
+  objectlog::StateContext ctx;
+  ctx.deltas = &deltas;
+  objectlog::Evaluator ev(engine.db, engine.registry, ctx);
+  TupleSet rows;
+  Status status = ev.Probe(temp, EvalState::kOld, ScanPattern{}, &rows);
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_EQ(rows, (TupleSet{T(2, 60)}));
+}
+
 }  // namespace
 }  // namespace deltamon::rules

@@ -32,9 +32,10 @@ int Usage(const char* argv0) {
                "  --waves=FILE    deltamon.wave.v1 capture to replay\n"
                "  --init=FILE     AMOSQL script rebuilding the schema, rules\n"
                "                  and pre-capture state\n"
-               "  --threads=N     replay with N propagation threads\n"
+               "  --threads=N     replay with N propagation threads (0..%lld)\n"
                "  --kernels=on|off replay with batch kernels on or off\n",
-               argv0);
+               argv0,
+               static_cast<long long>(amosql::SetThreadsStmt::kMaxThreads));
   return 2;
 }
 
@@ -52,7 +53,8 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--init=", 7) == 0) {
       init_file = arg + 7;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      if (!tools::ParseLong(arg, "--threads=", &threads)) {
+      if (!tools::ParseLong(arg, "--threads=", &threads) ||
+          threads > amosql::SetThreadsStmt::kMaxThreads) {
         return Usage(argv[0]);
       }
     } else if (std::strcmp(arg, "--kernels=on") == 0) {
