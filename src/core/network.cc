@@ -244,7 +244,30 @@ Result<PropagationNetwork> PropagationNetwork::Build(
   for (RelationId rel : ids) {
     net.levels_[static_cast<size_t>(net.nodes_.at(rel).level)].push_back(rel);
   }
+
+  // 6. Batch-kernel plans: each differential is planned once, here, as an
+  // ordinary query assuming few changes to a single influent (§1).
+  net.CompileKernelPlans(registry, catalog);
   return net;
+}
+
+void PropagationNetwork::CompileKernelPlans(
+    const objectlog::DerivedRegistry& registry, const Catalog& catalog) {
+  kernel_plans_version_ = catalog.stats().version();
+  for (PartialDifferential& diff : differentials_) {
+    if (diff.aggregate) continue;
+    for (bool lineage : {false, true}) {
+      diff.kernel_plans[lineage] = objectlog::KernelPlan::Compile(
+          diff.clause, registry, catalog, lineage);
+    }
+  }
+}
+
+void PropagationNetwork::RefreshKernelPlans(
+    const objectlog::DerivedRegistry& registry, const Catalog& catalog) {
+  if (kernel_plans_version_ != catalog.stats().version()) {
+    CompileKernelPlans(registry, catalog);
+  }
 }
 
 std::vector<RelationId> PropagationNetwork::BaseInfluents() const {

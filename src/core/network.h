@@ -1,6 +1,7 @@
 #ifndef DELTAMON_CORE_NETWORK_H_
 #define DELTAMON_CORE_NETWORK_H_
 
+#include <array>
 #include <atomic>
 #include <string>
 #include <unordered_map>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "objectlog/ast.h"
+#include "objectlog/eval.h"
 #include "objectlog/registry.h"
 #include "obs/profile.h"
 #include "storage/catalog.h"
@@ -35,6 +37,12 @@ struct PartialDifferential {
   size_t clause_index = 0;
   size_t literal_index = 0;
   objectlog::Clause clause;
+  /// Batch-kernel plans of `clause`, one per liveness variant: [0] plain,
+  /// [1] with derivations (lineage capture). Compiled when the network is
+  /// built and again when the StatsStore moves (RefreshKernelPlans); the
+  /// propagator hands them to the evaluator, so a wave only moves data.
+  /// Never compiled for aggregate edges.
+  std::array<objectlog::KernelPlan, 2> kernel_plans;
 
   /// e.g. "Δcnd/Δ+quantity" or "Δcnd/Δ-supplies [negated occurrence]".
   std::string Name(const Catalog& catalog) const;
@@ -185,13 +193,26 @@ class PropagationNetwork {
   /// Zeroes every node's attribution tallies (topology untouched).
   void ResetStats() const;
 
+  /// Recompiles every differential's kernel plans when `catalog`'s
+  /// StatsStore has moved since they were compiled — observed
+  /// selectivities steer the literal order, so new stats must reach the
+  /// next wave. One version check otherwise. Not safe concurrently with a
+  /// wave over this network.
+  void RefreshKernelPlans(const objectlog::DerivedRegistry& registry,
+                          const Catalog& catalog);
+
  private:
   PropagationNetwork() = default;
+
+  void CompileKernelPlans(const objectlog::DerivedRegistry& registry,
+                          const Catalog& catalog);
 
   std::vector<RootSpec> roots_;
   std::vector<PartialDifferential> differentials_;
   std::unordered_map<RelationId, NetworkNode> nodes_;
   std::vector<std::vector<RelationId>> levels_;
+  /// StatsStore version the kernel plans were compiled at.
+  uint64_t kernel_plans_version_ = 0;
 };
 
 }  // namespace deltamon::core

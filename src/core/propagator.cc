@@ -88,18 +88,20 @@ Status Propagator::ProcessNode(
   evaluator.EnableKernels(options_.kernels);
   if (options_.profiler != nullptr) evaluator.SetProfiler(&out->profile);
 
-  // Runs one partial differential — a single set-oriented evaluation —
-  // into `produced`. With lineage on, the same pass reports the influent
-  // Δ-row behind each derivation, recorded as a lineage edge.
+  // Runs one partial differential — a single set-oriented evaluation,
+  // through the kernel plan the network compiled for it — into
+  // `produced`. With lineage on, the same pass reports the influent Δ-row
+  // behind each derivation, recorded as a lineage edge.
   objectlog::Derivations derivations;
   auto run_differential = [&](const PartialDifferential& diff,
                               TupleSet* produced) -> Status {
+    const objectlog::KernelPlan* plan = &diff.kernel_plans[options_.lineage];
     if (!options_.lineage) {
-      return evaluator.EvaluateClause(diff.clause, produced);
+      return evaluator.EvaluateClause(diff.clause, produced, nullptr, plan);
     }
     derivations.clear();
-    DELTAMON_RETURN_IF_ERROR(
-        evaluator.EvaluateClause(diff.clause, produced, &derivations));
+    DELTAMON_RETURN_IF_ERROR(evaluator.EvaluateClause(diff.clause, produced,
+                                                      &derivations, plan));
     const std::string via = diff.Name(db_.catalog());
     for (objectlog::Derivation& d : derivations) {
       out->lineage.AddParent(rel, diff.produces_plus, d.head,

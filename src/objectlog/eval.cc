@@ -716,11 +716,22 @@ Status Evaluator::EvalBodyImpl(const Clause& clause,
 }
 
 Status Evaluator::EvaluateClause(const Clause& clause, TupleSet* out,
-                                 Derivations* derivations) {
-  if (kernels_) {
-    DELTAMON_ASSIGN_OR_RETURN(
-        bool handled, TryEvaluateClauseKernel(clause, out, derivations));
-    if (handled) return Status::OK();
+                                 Derivations* derivations,
+                                 const KernelPlan* plan) {
+  // Transactional reads must flow through the snapshot's footprint
+  // recording one probe at a time; the batch path stays out of the way.
+  if (kernels_ && ctx_.txn == nullptr) {
+    const bool with_derivations = derivations != nullptr;
+    KernelPlan adhoc;
+    if (plan == nullptr ||
+        !plan->FreshFor(db_.catalog().stats(), with_derivations)) {
+      adhoc = KernelPlan::Compile(clause, registry_, db_.catalog(),
+                                  with_derivations);
+      plan = &adhoc;
+    }
+    if (plan->eligible()) {
+      return RunKernelPlan(*plan, clause, out, derivations);
+    }
   }
   return EvaluateClauseWithBindings(clause, {}, out, derivations);
 }

@@ -139,6 +139,51 @@ struct Derivation {
 };
 using Derivations = std::vector<Derivation>;
 
+/// The compiled batch-kernel plan of one clause (eval_kernel.cc). It holds
+/// everything the kernel path decides from the clause, the registry and
+/// the catalog's StatsStore alone: the eligibility screen, the literal
+/// order with its boundness and liveness, the semi-join candidate, and per
+/// step the literal shape, batch layouts, row copiers, compiled operands,
+/// probe-pattern recipe and join selectivity — so running the plan only
+/// moves data. What depends on the wave stays at run time: extent sizes
+/// (and with them build vs probe), which relations have materialized
+/// views, the Δ-sets, the profiler and the transactional decline.
+///
+/// PropagationNetwork compiles one per partial differential and liveness
+/// variant; ad-hoc evaluations compile a temporary one. A plan is stale
+/// once the StatsStore's version moves past the one it was compiled at.
+/// Cheap to copy: the compiled program is immutable and shared.
+class KernelPlan {
+ public:
+  /// Plans `clause` against `catalog`'s current StatsStore. `derivations`
+  /// selects the liveness variant that also carries the Δ generator's
+  /// variables to the head (EvaluateClause's `derivations`). A clause
+  /// with no batch form yields an ineligible plan.
+  static KernelPlan Compile(const Clause& clause,
+                            const DerivedRegistry& registry,
+                            const Catalog& catalog, bool derivations);
+
+  /// False when the clause has no batch form (the interpreter runs it) or
+  /// the plan was never compiled.
+  bool eligible() const { return program_ != nullptr; }
+  /// True when the plan was compiled for this liveness variant at `stats`'
+  /// current version.
+  bool FreshFor(const StatsStore& stats, bool derivations) const;
+
+  /// Process-wide number of Compile calls so far (exposed for the
+  /// plan-once regression tests).
+  static uint64_t compilations();
+
+ private:
+  friend class Evaluator;
+  struct Program;
+
+  std::shared_ptr<const Program> program_;
+  uint64_t stats_version_ = 0;  ///< StatsStore version at compile time
+  bool derivations_ = false;
+  bool compiled_ = false;
+};
+
 /// Evaluates ObjectLog clauses against a database, honoring per-literal
 /// state (NEW/OLD) and Δ-role annotations produced by the differencer.
 /// Single-threaded; borrows all its inputs.
@@ -165,9 +210,13 @@ class Evaluator {
   /// When `derivations` is non-null, the same evaluation also appends one
   /// (head, Δ-row) pair per derivation found — possibly repeating a pair
   /// reached along several join paths; the clause must then have exactly
-  /// one Δ-role literal, as every partial differential does.
+  /// one Δ-role literal, as every partial differential does. With kernels
+  /// on, `plan` is the clause's precompiled KernelPlan (the propagation
+  /// network keeps one per differential); when it is null, stale or of
+  /// the other liveness variant, a temporary plan is compiled.
   Status EvaluateClause(const Clause& clause, TupleSet* out,
-                        Derivations* derivations = nullptr);
+                        Derivations* derivations = nullptr,
+                        const KernelPlan* plan = nullptr);
 
   /// Like EvaluateClause, with some variables pre-bound (e.g. binding a
   /// rule's condition instance while evaluating its action arguments).
@@ -318,13 +367,12 @@ class Evaluator {
 
   Result<Value> TermValue(const Term& term, const Env& env) const;
 
-  /// Batch kernel entry point (eval_kernel.cc): attempts to evaluate the
-  /// whole clause set-at-a-time over a columnar Δ-table. Returns true if it
-  /// handled the clause (out filled), false to fall back to the
-  /// tuple-at-a-time interpreter (ineligible shape). `derivations` as in
+  /// Batch kernel executor (eval_kernel.cc): evaluates `clause` set-at-a-
+  /// time over a columnar Δ-table by running its eligible `plan`, compiled
+  /// for the liveness variant `derivations` asks for. `derivations` as in
   /// EvaluateClause.
-  Result<bool> TryEvaluateClauseKernel(const Clause& clause, TupleSet* out,
-                                       Derivations* derivations);
+  Status RunKernelPlan(const KernelPlan& plan, const Clause& clause,
+                       TupleSet* out, Derivations* derivations);
 
   /// True when a materialized extent of `rel` depends only on shared state:
   /// no transaction snapshot, and no relation in its dependency closure is

@@ -6,8 +6,14 @@
 /// tuple-at-a-time recursive interpreter in eval.cc. Results are identical
 /// (the certified outputs are all set- or count-valued; emission order is
 /// free), only the execution strategy differs. See docs/kernels.md.
+///
+/// Planning and execution are split: KernelPlan::Compile decides
+/// everything that depends only on the clause, the registry and the
+/// StatsStore, once per partial differential; Evaluator::RunKernelPlan
+/// then only moves data.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <utility>
@@ -19,27 +25,29 @@
 namespace deltamon::objectlog {
 namespace {
 
-/// The wave-front batch between two kernel steps: one column per variable
-/// that is bound AND still needed (used by a later literal or the head).
-struct Batch {
-  ColumnTable table;
+std::atomic<uint64_t> g_plan_compilations{0};
+
+/// Column layout of the wave-front batch between two kernel steps: one
+/// column per variable that is bound AND still needed (used by a later
+/// literal or the head).
+struct Layout {
   std::vector<int> col_of_var;  ///< var -> column index, -1 when absent
   std::vector<int> var_of_col;  ///< column index -> var
-};
 
-Batch MakeLayout(size_t nvars, const std::vector<bool>& bound,
-                 const std::vector<bool>& needed) {
-  Batch b;
-  b.col_of_var.assign(nvars, -1);
-  for (size_t v = 0; v < nvars; ++v) {
-    if (bound[v] && needed[v]) {
-      b.col_of_var[v] = static_cast<int>(b.var_of_col.size());
-      b.var_of_col.push_back(static_cast<int>(v));
+  Layout() = default;
+  Layout(size_t nvars, const std::vector<bool>& bound,
+         const std::vector<bool>& needed)
+      : col_of_var(nvars, -1) {
+    for (size_t v = 0; v < nvars; ++v) {
+      if (bound[v] && needed[v]) {
+        col_of_var[v] = static_cast<int>(var_of_col.size());
+        var_of_col.push_back(static_cast<int>(v));
+      }
     }
   }
-  b.table = ColumnTable(b.var_of_col.size());
-  return b;
-}
+
+  size_t width() const { return var_of_col.size(); }
+};
 
 /// A compiled operand: a constant or a batch column.
 struct Operand {
@@ -48,19 +56,35 @@ struct Operand {
   int col = -1;
 };
 
-Operand CompileOperand(const Term& t, const Batch& b) {
+Operand CompileOperand(const Term& t, const Layout& layout) {
   Operand o;
   if (t.is_const()) {
     o.is_const = true;
     o.constant = t.constant;
   } else {
-    o.col = b.col_of_var[t.var];
+    o.col = layout.col_of_var[t.var];
   }
   return o;
 }
 
-Value OperandValue(const Operand& o, const Batch& b, size_t row) {
-  return o.is_const ? o.constant : b.table.Get(row, o.col);
+std::vector<Operand> CompileOperands(const std::vector<Term>& terms,
+                                     const Layout& layout) {
+  std::vector<Operand> ops;
+  ops.reserve(terms.size());
+  for (const Term& t : terms) ops.push_back(CompileOperand(t, layout));
+  return ops;
+}
+
+Value OperandValue(const Operand& o, const ColumnTable& batch, size_t row) {
+  return o.is_const ? o.constant : batch.Get(row, o.col);
+}
+
+Tuple ProjectRow(const std::vector<Operand>& ops, const ColumnTable& batch,
+                 size_t row) {
+  std::vector<Value> vals;
+  vals.reserve(ops.size());
+  for (const Operand& o : ops) vals.push_back(OperandValue(o, batch, row));
+  return Tuple(std::move(vals));
 }
 
 /// Row transfer from one batch layout to the next: passthrough columns are
@@ -70,20 +94,20 @@ struct RowCopier {
   std::vector<int> src_of_dst;
   std::vector<std::pair<int, int>> fresh;  ///< (dst column, var)
 
-  RowCopier(const Batch& src, const Batch& dst) {
-    src_of_dst.resize(dst.var_of_col.size());
-    for (size_t c = 0; c < dst.var_of_col.size(); ++c) {
+  RowCopier() = default;
+  RowCopier(const Layout& src, const Layout& dst) {
+    src_of_dst.resize(dst.width());
+    for (size_t c = 0; c < dst.width(); ++c) {
       int v = dst.var_of_col[c];
       src_of_dst[c] = src.col_of_var[v];
       if (src.col_of_var[v] < 0) fresh.emplace_back(static_cast<int>(c), v);
     }
   }
 
-  void CopyThrough(const Batch& src, Batch& dst, size_t row) const {
+  void CopyThrough(const ColumnTable& src, ColumnTable& dst,
+                   size_t row) const {
     for (size_t c = 0; c < src_of_dst.size(); ++c) {
-      if (src_of_dst[c] >= 0) {
-        dst.table.AppendCellFrom(c, src.table, src_of_dst[c], row);
-      }
+      if (src_of_dst[c] >= 0) dst.AppendCellFrom(c, src, src_of_dst[c], row);
     }
   }
 };
@@ -119,6 +143,7 @@ struct LiteralShape {
   std::vector<int> first_pos;                            ///< var -> position
   std::vector<int> distinct_vars;  ///< first-occurrence order
 
+  LiteralShape() = default;
   LiteralShape(const Literal& l, size_t nvars) : first_pos(nvars, -1) {
     for (size_t i = 0; i < l.args.size(); ++i) {
       const Term& t = l.args[i];
@@ -137,6 +162,11 @@ struct LiteralShape {
     for (const auto& [i, c] : const_checks) {
       if (!(t[i] == c)) return false;
     }
+    return RepeatsMatch(t);
+  }
+
+  /// The repeated-variable cross-checks alone (constants pushed down).
+  bool RepeatsMatch(const Tuple& t) const {
     for (const auto& [i, j] : repeat_checks) {
       if (!(t[i] == t[j])) return false;
     }
@@ -144,14 +174,128 @@ struct LiteralShape {
   }
 };
 
+/// Probe-pattern recipe of one relation literal against a batch layout:
+/// constants in place, bound variables read from the batch row, every
+/// other position a wildcard.
+struct ProbeRecipe {
+  size_t arity = 0;
+  std::vector<std::pair<size_t, Value>> consts;
+  std::vector<std::pair<size_t, int>> cols;  ///< (position, batch column)
+
+  ProbeRecipe() = default;
+  ProbeRecipe(const Literal& l, const std::vector<bool>& bound,
+              const Layout& layout)
+      : arity(l.args.size()) {
+    for (size_t i = 0; i < l.args.size(); ++i) {
+      const Term& t = l.args[i];
+      if (t.is_const()) {
+        consts.emplace_back(i, t.constant);
+      } else if (bound[t.var]) {
+        cols.emplace_back(i, layout.col_of_var[t.var]);
+      }
+    }
+  }
+
+  ScanPattern Fill(const ColumnTable& batch, size_t row) const {
+    ScanPattern pattern(arity);
+    for (const auto& [i, c] : consts) pattern[i] = c;
+    for (const auto& [i, col] : cols) pattern[i] = batch.Get(row, col);
+    return pattern;
+  }
+};
+
+/// One pipeline step after the Δ generator, compiled against the layout
+/// of the batch it consumes.
+struct KernelStep {
+  Literal::Kind kind = Literal::Kind::kRelation;
+  size_t slot = 0;  ///< body position: the step's profile slot
+  Layout out;       ///< layout of the batch the step produces
+  RowCopier copier;  ///< input layout -> out
+
+  // kCompare: a `=` binder copies `a` into the fresh column; a filter
+  // keeps rows where cmp(a, b) holds.
+  CompareOp cmp = CompareOp::kEq;
+  bool binder = false;
+  // kArith: out = a op b, or a check against `expect` when out is bound.
+  ArithOp arith = ArithOp::kAdd;
+  bool check = false;
+  Operand a;
+  Operand b;
+  Operand expect;
+
+  // kRelation.
+  RelationId relation = kInvalidRelationId;
+  EvalState state = EvalState::kNew;
+  bool negated = false;
+  /// Negated, or nothing new to bind: an existence (or absence) filter.
+  bool existence = false;
+  /// A stored base relation — directly enumerable for builds and
+  /// semi-join probes (a materialized view qualifies too, at run time).
+  bool stored = false;
+  LiteralShape shape;
+  bool any_pattern = false;  ///< constants or join variables to push down
+  size_t num_new = 0;        ///< unbound distinct variables bound here
+  std::vector<size_t> key_cols;  ///< batch columns of the join variables
+  std::vector<size_t> join_pos;  ///< tuple position of each join variable
+  std::vector<size_t> new_pos;   ///< tuple position of each new variable
+  ProbeRecipe probe;
+  ScanPattern build_pattern;  ///< constants only: the build-side scan
+  std::vector<size_t> build_key_cols;  ///< 0..#join-1 in the build table
+  /// (dst column, index among the new variables) of each fresh variable:
+  /// its column in the probe candidates, or past the join columns in the
+  /// build table.
+  std::vector<std::pair<int, int>> fresh_new;
+  /// Observed selectivity for this (relation, nbound) shape, or the
+  /// 0.1-per-bound-position default.
+  double selectivity = 1.0;
+};
+
 }  // namespace
 
-Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
-                                                TupleSet* out,
-                                                Derivations* derivations) {
-  // Transactional reads must flow through the snapshot's footprint
-  // recording one probe at a time; the batch path stays out of the way.
-  if (ctx_.txn != nullptr) return false;
+struct KernelPlan::Program {
+  /// Body positions in execution order (OrderBody's, Δ generator first).
+  std::vector<size_t> order;
+
+  // Step 0: the Δ generator.
+  RelationId delta_relation = kInvalidRelationId;
+  bool delta_plus = true;
+  LiteralShape delta_shape;
+  Layout delta_layout;
+  std::vector<size_t> delta_pos;  ///< generator tuple position per column
+
+  /// Step whose literal the semi-join pre-filter probes right after the Δ
+  /// step (0: none); it applies when that literal's extent is enumerable.
+  size_t semijoin_step = 0;
+  std::vector<size_t> semijoin_key_cols;
+  ProbeRecipe semijoin_probe;
+
+  std::vector<KernelStep> steps;  ///< steps[k - 1] is step k
+
+  std::vector<Operand> head_ops;
+  std::vector<Operand> delta_ops;  ///< empty unless derivations
+};
+
+uint64_t KernelPlan::compilations() {
+  return g_plan_compilations.load(std::memory_order_relaxed);
+}
+
+bool KernelPlan::FreshFor(const StatsStore& stats, bool derivations) const {
+  return compiled_ && derivations_ == derivations &&
+         stats_version_ == stats.version();
+}
+
+KernelPlan KernelPlan::Compile(const Clause& clause,
+                               const DerivedRegistry& registry,
+                               const Catalog& catalog, bool derivations) {
+  g_plan_compilations.fetch_add(1, std::memory_order_relaxed);
+  KernelPlan plan;
+  plan.compiled_ = true;
+  plan.derivations_ = derivations;
+  const StatsStore& stats = catalog.stats();
+  // Read before ordering: a Record racing this compile leaves the plan
+  // stale (recompiled next time) rather than silently mixed.
+  plan.stats_version_ = stats.version();
+
   const std::vector<Literal>& body = clause.body;
   size_t nvars = static_cast<size_t>(std::max(clause.num_vars, 0));
 
@@ -162,24 +306,24 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
   for (const Literal& l : body) {
     if (l.kind != Literal::Kind::kRelation) continue;
     if (l.role != RelationRole::kExtent) {
-      if (l.negated) return false;
+      if (l.negated) return plan;
       ++ndelta;
     }
-    if (registry_.GetAggregate(l.relation) != nullptr ||
-        registry_.GetForeign(l.relation) != nullptr ||
-        registry_.IsRecursive(l.relation)) {
-      return false;
+    if (registry.GetAggregate(l.relation) != nullptr ||
+        registry.GetForeign(l.relation) != nullptr ||
+        registry.IsRecursive(l.relation)) {
+      return plan;
     }
   }
-  if (ndelta != 1) return false;
+  if (ndelta != 1) return plan;
 
-  const StatsStore& stats = db_.catalog().stats();
   std::vector<size_t> order =
-      OrderBody(body, clause.num_vars, std::vector<bool>(nvars), &stats);
+      Evaluator::OrderBody(body, clause.num_vars, std::vector<bool>(nvars),
+                           &stats);
   size_t nsteps = order.size();
   if (body[order[0]].kind != Literal::Kind::kRelation ||
       body[order[0]].role == RelationRole::kExtent) {
-    return false;
+    return plan;
   }
 
   // Boundness simulation over the interpreter's own order: every step must
@@ -202,15 +346,15 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
             bound[(b0 ? l.args[1] : l.args[0]).var] = true;  // binder
             break;
           }
-          return false;
+          return plan;
         }
         case Literal::Kind::kArith:
-          if (!term_bound(l.args[1]) || !term_bound(l.args[2])) return false;
+          if (!term_bound(l.args[1]) || !term_bound(l.args[2])) return plan;
           if (l.args[0].is_var()) bound[l.args[0].var] = true;
           break;
         case Literal::Kind::kRelation:
           if (l.role != RelationRole::kExtent) {
-            if (k != 0) return false;  // generator must lead the pipeline
+            if (k != 0) return plan;  // generator must lead the pipeline
             for (const Term& t : l.args) {
               if (t.is_var()) bound[t.var] = true;
             }
@@ -226,7 +370,7 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
                   if (ot.is_var() && ot.var == t.var) ++uses;
                 }
               }
-              if (uses > 1) return false;
+              if (uses > 1) return plan;
             }
             break;
           }
@@ -238,7 +382,7 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
       bound_after[k] = bound;
     }
     for (const Term& h : clause.head_args) {
-      if (h.is_var() && !bound[h.var]) return false;
+      if (h.is_var() && !bound[h.var]) return plan;
     }
   }
 
@@ -251,7 +395,7 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
   for (const Term& h : clause.head_args) {
     if (h.is_var()) needed_in[nsteps][h.var] = true;
   }
-  if (derivations != nullptr) {
+  if (derivations) {
     for (const Term& t : body[order[0]].args) {
       if (t.is_var()) needed_in[nsteps][t.var] = true;
     }
@@ -263,104 +407,205 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
     }
   }
 
-  // Semi-join pre-filter (structural, data-independent rule): when one or
-  // more compute steps separate the Δ generator from the first extent
-  // literal joining it, and that literal is a stored base relation or a
-  // materialized view, probe its key set right after the Δ step and
-  // discard Δ rows with no join partner before paying for the
-  // intermediates. The later join step still runs (and reports
-  // "semijoin-filtered" as its access).
-  size_t semijoin_step = 0;  // 0 (the Δ step itself) means disabled
-  {
-    bool intermediate = false;
-    for (size_t k = 1; k < nsteps; ++k) {
-      const Literal& l = body[order[k]];
-      if (l.kind != Literal::Kind::kRelation || l.negated) {
-        intermediate = true;  // per-row work the pre-filter can skip
-        continue;
-      }
-      bool joins_delta = false;
-      for (const Term& t : l.args) {
-        if (t.is_var() && bound_after[0][t.var]) {
-          joins_delta = true;
-          break;
-        }
-      }
-      if (joins_delta && intermediate &&
-          (db_.catalog().GetBaseRelation(l.relation) != nullptr ||
-           ctx_.ViewFor(l.relation) != nullptr)) {
-        semijoin_step = k;
-      }
-      break;  // only the first extent literal qualifies
-    }
+  auto program = std::make_shared<Program>();
+  Program& p = *program;
+  p.order = order;
+
+  // Step 0: the Δ side's unification and column sources.
+  const Literal& dl = body[order[0]];
+  p.delta_relation = dl.relation;
+  p.delta_plus = dl.role == RelationRole::kDeltaPlus;
+  p.delta_shape = LiteralShape(dl, nvars);
+  p.delta_layout = Layout(nvars, bound_after[0], needed_in[1]);
+  for (int v : p.delta_layout.var_of_col) {
+    p.delta_pos.push_back(static_cast<size_t>(p.delta_shape.first_pos[v]));
   }
 
-  // ---- Execution ----
+  // Steps 1..n: each compiled against the layout it consumes.
+  const Layout* in = &p.delta_layout;
+  p.steps.reserve(nsteps - 1);
+  for (size_t k = 1; k < nsteps; ++k) {
+    const Literal& l = body[order[k]];
+    const std::vector<bool>& bound = bound_after[k - 1];
+    auto bound_prev = [&bound](const Term& t) {
+      return t.is_const() || bound[t.var];
+    };
+    KernelStep& s = p.steps.emplace_back();
+    s.kind = l.kind;
+    s.slot = order[k];
+    s.out = Layout(nvars, bound_after[k], needed_in[k + 1]);
+    s.copier = RowCopier(*in, s.out);
+    switch (l.kind) {
+      case Literal::Kind::kCompare: {
+        s.cmp = l.cmp;
+        bool b0 = bound_prev(l.args[0]);
+        bool b1 = bound_prev(l.args[1]);
+        if (l.cmp == CompareOp::kEq && b0 != b1) {
+          // Equality binder: no filtering; the bound side's value becomes
+          // the unbound variable's column (when still live).
+          s.binder = true;
+          s.a = CompileOperand(b0 ? l.args[0] : l.args[1], *in);
+        } else {
+          s.a = CompileOperand(l.args[0], *in);
+          s.b = CompileOperand(l.args[1], *in);
+        }
+        break;
+      }
+      case Literal::Kind::kArith:
+        s.arith = l.arith;
+        s.a = CompileOperand(l.args[1], *in);
+        s.b = CompileOperand(l.args[2], *in);
+        s.check = bound_prev(l.args[0]);
+        if (s.check) s.expect = CompileOperand(l.args[0], *in);
+        break;
+      case Literal::Kind::kRelation: {
+        s.relation = l.relation;
+        s.state = l.state;
+        s.negated = l.negated;
+        s.stored = catalog.GetBaseRelation(l.relation) != nullptr;
+        s.shape = LiteralShape(l, nvars);
+        std::vector<int> join_vars;  // bound distinct vars, arg order
+        std::vector<int> new_vars;   // unbound distinct vars, arg order
+        for (int v : s.shape.distinct_vars) {
+          (bound[v] ? join_vars : new_vars).push_back(v);
+        }
+        s.num_new = new_vars.size();
+        s.existence = l.negated || new_vars.empty();
+        s.any_pattern = !s.shape.const_checks.empty() || !join_vars.empty();
+        s.probe = ProbeRecipe(l, bound, *in);
+        for (int v : join_vars) {
+          s.key_cols.push_back(static_cast<size_t>(in->col_of_var[v]));
+          s.join_pos.push_back(static_cast<size_t>(s.shape.first_pos[v]));
+        }
+        for (int v : new_vars) {
+          s.new_pos.push_back(static_cast<size_t>(s.shape.first_pos[v]));
+        }
+        if (s.existence) break;
+
+        // Join: the build side scans with the constants pushed down into
+        // a table of join columns then new-variable columns; probe
+        // candidates hold the new-variable columns alone.
+        s.build_pattern = ScanPattern(l.args.size());
+        for (const auto& [i, c] : s.shape.const_checks) s.build_pattern[i] = c;
+        for (size_t c = 0; c < join_vars.size(); ++c) {
+          s.build_key_cols.push_back(c);
+        }
+        for (const auto& [dst, var] : s.copier.fresh) {
+          s.fresh_new.emplace_back(
+              dst, static_cast<int>(
+                       std::find(new_vars.begin(), new_vars.end(), var) -
+                       new_vars.begin()));
+        }
+        size_t nbound_pos = 0;
+        for (const Term& t : l.args) {
+          if (bound_prev(t)) ++nbound_pos;
+        }
+        s.selectivity =
+            stats
+                .Selectivity(l.relation,
+                             static_cast<int>(RelationRole::kExtent),
+                             static_cast<int>(nbound_pos))
+                .value_or(std::pow(0.1, static_cast<double>(nbound_pos)));
+        break;
+      }
+    }
+    in = &s.out;
+  }
+
+  // Semi-join pre-filter (structural rule): when one or more compute steps
+  // separate the Δ generator from the first extent literal joining it, and
+  // that literal's extent is enumerable, probe its key set right after the
+  // Δ step and discard Δ rows with no join partner before paying for the
+  // intermediates. The later join step still runs (and reports
+  // "semijoin-filtered" as its access).
+  bool intermediate = false;
+  for (size_t k = 1; k < nsteps; ++k) {
+    const Literal& l = body[order[k]];
+    if (l.kind != Literal::Kind::kRelation || l.negated) {
+      intermediate = true;  // per-row work the pre-filter can skip
+      continue;
+    }
+    std::vector<bool> seen(nvars, false);
+    std::vector<size_t> key_cols;
+    for (const Term& t : l.args) {
+      if (t.is_var() && bound_after[0][t.var] && !seen[t.var]) {
+        seen[t.var] = true;
+        key_cols.push_back(
+            static_cast<size_t>(p.delta_layout.col_of_var[t.var]));
+      }
+    }
+    if (!key_cols.empty() && intermediate) {
+      p.semijoin_step = k;
+      p.semijoin_key_cols = std::move(key_cols);
+      p.semijoin_probe = ProbeRecipe(l, bound_after[0], p.delta_layout);
+    }
+    break;  // only the first extent literal qualifies
+  }
+
+  // Head projection; with derivations, the generator's args rebuild each
+  // row's Δ-row alongside.
+  p.head_ops = CompileOperands(clause.head_args, *in);
+  if (derivations) p.delta_ops = CompileOperands(dl.args, *in);
+
+  plan.program_ = std::move(program);
+  return plan;
+}
+
+Status Evaluator::RunKernelPlan(const KernelPlan& plan, const Clause& clause,
+                                TupleSet* out, Derivations* derivations) {
+  const KernelPlan::Program& p = *plan.program_;
   ++stats_.clause_evals;
   obs::ClauseProfile* cp = BeginClauseProfile(clause);
+  auto slot_of = [cp](size_t pos) {
+    return cp != nullptr ? &cp->slots[pos] : nullptr;
+  };
 
   // Step 0: materialize the Δ side into the wave-front table.
-  Batch batch;
+  ColumnTable batch;
   {
-    const Literal& dl = body[order[0]];
-    obs::LiteralProfile* slot = cp ? &cp->slots[order[0]] : nullptr;
+    obs::LiteralProfile* slot = slot_of(p.order[0]);
     StepTimer timer(slot);
     if (slot != nullptr) ++slot->rows_in;
-    const DeltaSet* delta = ctx_.DeltaFor(dl.relation);
-    if (delta == nullptr) return true;  // no change set: empty result
-    const TupleSet& side = dl.role == RelationRole::kDeltaPlus
-                               ? delta->plus()
-                               : delta->minus();
-    batch = MakeLayout(nvars, bound_after[0], needed_in[1]);
-    batch.table.Reserve(side.size());
-    LiteralShape shape(dl, nvars);
+    const DeltaSet* delta = ctx_.DeltaFor(p.delta_relation);
+    if (delta == nullptr) return Status::OK();  // no change set: empty
+    const TupleSet& side = p.delta_plus ? delta->plus() : delta->minus();
+    batch = ColumnTable(p.delta_layout.width());
+    batch.Reserve(side.size());
     for (const Tuple& t : side) {
       ++stats_.tuples_examined;
       if (slot != nullptr) ++slot->bindings_tried;
-      if (!shape.Matches(t)) continue;
-      for (size_t c = 0; c < batch.var_of_col.size(); ++c) {
-        batch.table.AppendCell(c, t[shape.first_pos[batch.var_of_col[c]]]);
+      if (!p.delta_shape.Matches(t)) continue;
+      for (size_t c = 0; c < p.delta_pos.size(); ++c) {
+        batch.AppendCell(c, t[p.delta_pos[c]]);
       }
-      batch.table.FinishRow();
+      batch.FinishRow();
     }
     stats_.bindings_produced +=
-        batch.table.num_rows() * shape.distinct_vars.size();
-    if (slot != nullptr) slot->rows_out += batch.table.num_rows();
+        batch.num_rows() * p.delta_shape.distinct_vars.size();
+    if (slot != nullptr) slot->rows_out += batch.num_rows();
   }
 
   // Semi-join pre-filter: one stop-at-first existence probe per distinct
-  // Δ-key of the flagged literal.
-  if (semijoin_step != 0 && !batch.table.empty()) {
-    const Literal& l = body[order[semijoin_step]];
-    obs::LiteralProfile* slot = cp ? &cp->slots[order[semijoin_step]] : nullptr;
-    StepTimer timer(slot);
-    std::vector<size_t> key_cols;
-    {
-      std::vector<bool> seen(nvars, false);
-      for (const Term& t : l.args) {
-        if (t.is_var() && bound_after[0][t.var] && !seen[t.var]) {
-          seen[t.var] = true;
-          key_cols.push_back(
-              static_cast<size_t>(batch.col_of_var[t.var]));
-        }
-      }
+  // Δ-key of the flagged literal — when its extent is enumerable here.
+  size_t semijoin_step = 0;
+  if (p.semijoin_step != 0) {
+    const KernelStep& s = p.steps[p.semijoin_step - 1];
+    if (s.stored || ctx_.ViewFor(s.relation) != nullptr) {
+      semijoin_step = p.semijoin_step;
     }
-    ColumnTable::Grouping g = batch.table.GroupByKey(key_cols);
-    std::vector<char> keep_row(batch.table.num_rows(), 0);
+  }
+  if (semijoin_step != 0 && !batch.empty()) {
+    const KernelStep& s = p.steps[semijoin_step - 1];
+    obs::LiteralProfile* slot = slot_of(s.slot);
+    StepTimer timer(slot);
+    ColumnTable::Grouping g = batch.GroupByKey(p.semijoin_key_cols);
+    std::vector<char> keep_row(batch.num_rows(), 0);
     for (size_t gi = 0; gi < g.reps.size(); ++gi) {
-      ScanPattern pattern(l.args.size());
-      for (size_t i = 0; i < l.args.size(); ++i) {
-        const Term& t = l.args[i];
-        if (t.is_const()) {
-          pattern[i] = t.constant;
-        } else if (bound_after[0][t.var]) {
-          pattern[i] = batch.table.Get(g.reps[gi], batch.col_of_var[t.var]);
-        }
-      }
       if (slot != nullptr) ++slot->probes;
       bool exists = false;
-      DELTAMON_RETURN_IF_ERROR(
-          ScanRelation(l.relation, l.state, pattern, [&](const Tuple&) {
+      DELTAMON_RETURN_IF_ERROR(ScanRelation(
+          s.relation, s.state, p.semijoin_probe.Fill(batch, g.reps[gi]),
+          [&](const Tuple&) {
             exists = true;
             return false;  // stop at the first witness
           }));
@@ -368,73 +613,59 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
         for (uint32_t row : g.rows[gi]) keep_row[row] = 1;
       }
     }
-    Batch next = MakeLayout(nvars, bound_after[0], needed_in[1]);
-    RowCopier copier(batch, next);
-    for (size_t row = 0; row < batch.table.num_rows(); ++row) {
+    ColumnTable next(batch.num_cols());
+    for (size_t row = 0; row < batch.num_rows(); ++row) {
       if (!keep_row[row]) continue;
-      copier.CopyThrough(batch, next, row);
-      next.table.FinishRow();
+      for (size_t c = 0; c < batch.num_cols(); ++c) {
+        next.AppendCellFrom(c, batch, c, row);
+      }
+      next.FinishRow();
     }
     batch = std::move(next);
   }
 
   // Steps 1..n: each consumes the batch and produces the next layout.
-  for (size_t k = 1; k < nsteps && !batch.table.empty(); ++k) {
-    const Literal& l = body[order[k]];
-    obs::LiteralProfile* slot = cp ? &cp->slots[order[k]] : nullptr;
+  for (size_t k = 1; k < p.order.size() && !batch.empty(); ++k) {
+    const KernelStep& s = p.steps[k - 1];
+    obs::LiteralProfile* slot = slot_of(s.slot);
     StepTimer timer(slot);
-    size_t rows = batch.table.num_rows();
+    size_t rows = batch.num_rows();
     if (slot != nullptr) slot->rows_in += rows;
-    Batch next = MakeLayout(nvars, bound_after[k], needed_in[k + 1]);
-    RowCopier copier(batch, next);
-    next.table.Reserve(rows);
-    auto bound_prev = [&](const Term& t) {
-      return t.is_const() || bound_after[k - 1][t.var];
-    };
+    ColumnTable next(s.out.width());
+    next.Reserve(rows);
 
-    switch (l.kind) {
+    switch (s.kind) {
       case Literal::Kind::kCompare: {
-        bool b0 = bound_prev(l.args[0]);
-        bool b1 = bound_prev(l.args[1]);
-        if (l.cmp == CompareOp::kEq && b0 != b1) {
-          // Equality binder: no filtering; the bound side's value becomes
-          // the unbound variable's column (when still live).
-          Operand src = CompileOperand(b0 ? l.args[0] : l.args[1], batch);
+        if (s.binder) {
           for (size_t row = 0; row < rows; ++row) {
             if (slot != nullptr) ++slot->bindings_tried;
-            copier.CopyThrough(batch, next, row);
-            for (const auto& [dst, var] : copier.fresh) {
-              next.table.AppendCell(dst, OperandValue(src, batch, row));
+            s.copier.CopyThrough(batch, next, row);
+            for (const auto& [dst, var] : s.copier.fresh) {
+              next.AppendCell(dst, OperandValue(s.a, batch, row));
             }
-            next.table.FinishRow();
+            next.FinishRow();
           }
           break;
         }
-        Operand a = CompileOperand(l.args[0], batch);
-        Operand b = CompileOperand(l.args[1], batch);
         for (size_t row = 0; row < rows; ++row) {
           if (slot != nullptr) ++slot->bindings_tried;
-          if (!EvalCompare(l.cmp, OperandValue(a, batch, row),
-                           OperandValue(b, batch, row))) {
+          if (!EvalCompare(s.cmp, OperandValue(s.a, batch, row),
+                           OperandValue(s.b, batch, row))) {
             continue;
           }
-          copier.CopyThrough(batch, next, row);
-          next.table.FinishRow();
+          s.copier.CopyThrough(batch, next, row);
+          next.FinishRow();
         }
         break;
       }
 
       case Literal::Kind::kArith: {
-        Operand a = CompileOperand(l.args[1], batch);
-        Operand b = CompileOperand(l.args[2], batch);
-        bool check = bound_prev(l.args[0]);
-        Operand expect = check ? CompileOperand(l.args[0], batch) : Operand{};
         for (size_t row = 0; row < rows; ++row) {
           if (slot != nullptr) ++slot->bindings_tried;
-          Value av = OperandValue(a, batch, row);
-          Value bv = OperandValue(b, batch, row);
+          Value av = OperandValue(s.a, batch, row);
+          Value bv = OperandValue(s.b, batch, row);
           Result<Value> r = [&]() {
-            switch (l.arith) {
+            switch (s.arith) {
               case ArithOp::kAdd:
                 return Add(av, bv);
               case ArithOp::kSub:
@@ -449,72 +680,46 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
           // Arithmetic failure makes the row underivable, not an error —
           // same contract as the interpreter.
           if (!r.ok()) continue;
-          if (check) {
-            if (OperandValue(expect, batch, row).Compare(*r) != 0) continue;
-            copier.CopyThrough(batch, next, row);
+          if (s.check) {
+            if (OperandValue(s.expect, batch, row).Compare(*r) != 0) continue;
+            s.copier.CopyThrough(batch, next, row);
           } else {
-            copier.CopyThrough(batch, next, row);
-            for (const auto& [dst, var] : copier.fresh) {
-              next.table.AppendCell(dst, *r);
+            s.copier.CopyThrough(batch, next, row);
+            for (const auto& [dst, var] : s.copier.fresh) {
+              next.AppendCell(dst, *r);
             }
           }
-          next.table.FinishRow();
+          next.FinishRow();
         }
         break;
       }
 
       case Literal::Kind::kRelation: {
-        LiteralShape shape(l, nvars);
-        std::vector<int> join_vars;  // bound distinct vars, arg order
-        std::vector<int> new_vars;   // unbound distinct vars, arg order
-        for (int v : shape.distinct_vars) {
-          (bound_after[k - 1][v] ? join_vars : new_vars).push_back(v);
-        }
-        std::vector<size_t> batch_key_cols;
-        batch_key_cols.reserve(join_vars.size());
-        for (int v : join_vars) {
-          batch_key_cols.push_back(static_cast<size_t>(batch.col_of_var[v]));
-        }
-        bool any_pattern = !shape.const_checks.empty() || !join_vars.empty();
-        auto fill_pattern = [&](size_t rep_row) {
-          ScanPattern pattern(l.args.size());
-          for (size_t i = 0; i < l.args.size(); ++i) {
-            const Term& t = l.args[i];
-            if (t.is_const()) {
-              pattern[i] = t.constant;
-            } else if (bound_after[k - 1][t.var]) {
-              pattern[i] =
-                  batch.table.Get(rep_row, batch.col_of_var[t.var]);
-            }
-          }
-          return pattern;
-        };
-
-        if (l.negated || new_vars.empty()) {
+        if (s.existence) {
           // Existence (or absence) filter: one stop-at-first probe per
           // distinct key, whole groups survive or die together.
           if (slot != nullptr) slot->bindings_tried += rows;
-          ColumnTable::Grouping g = batch.table.GroupByKey(batch_key_cols);
+          ColumnTable::Grouping g = batch.GroupByKey(s.key_cols);
           std::vector<char> keep_row(rows, 0);
           for (size_t gi = 0; gi < g.reps.size(); ++gi) {
-            if (slot != nullptr) ++(any_pattern ? slot->probes : slot->scans);
+            if (slot != nullptr) ++(s.any_pattern ? slot->probes : slot->scans);
             bool exists = false;
             DELTAMON_RETURN_IF_ERROR(ScanRelation(
-                l.relation, l.state, fill_pattern(g.reps[gi]),
+                s.relation, s.state, s.probe.Fill(batch, g.reps[gi]),
                 [&](const Tuple&) {
                   exists = true;
                   return false;
                 }));
-            if (exists != l.negated) {
+            if (exists != s.negated) {
               for (uint32_t row : g.rows[gi]) keep_row[row] = 1;
             }
           }
           for (size_t row = 0; row < rows; ++row) {
             if (!keep_row[row]) continue;
-            copier.CopyThrough(batch, next, row);
-            next.table.FinishRow();
+            s.copier.CopyThrough(batch, next, row);
+            next.FinishRow();
           }
-          if (slot != nullptr && !l.negated) {
+          if (slot != nullptr && !s.negated) {
             slot->access = (k == semijoin_step) ? "semijoin-filtered"
                                                 : "hash-join/probe";
           }
@@ -529,78 +734,50 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
         // materialization (weight 1.5 per tuple) plus a cheap dense hash
         // lookup per row. Build is only available when the extent can be
         // enumerated directly (stored base relation or materialized view).
-        size_t nbound_pos = 0;
-        for (const Term& t : l.args) {
-          if (bound_prev(t)) ++nbound_pos;
-        }
-        double extent = ExtentEstimate(l.relation);
-        double sel =
-            stats
-                .Selectivity(l.relation,
-                             static_cast<int>(RelationRole::kExtent),
-                             static_cast<int>(nbound_pos))
-                .value_or(std::pow(0.1, static_cast<double>(nbound_pos)));
-        double m = extent * sel;
+        double extent = ExtentEstimate(s.relation);
+        double m = extent * s.selectivity;
         double r_rows = static_cast<double>(rows);
         double cost_probe = r_rows * (8.0 + m);
         double cost_build = 1.5 * extent + r_rows * (1.0 + m);
-        bool build_ok =
-            !join_vars.empty() &&
-            (db_.catalog().GetBaseRelation(l.relation) != nullptr ||
-             ctx_.ViewFor(l.relation) != nullptr);
+        bool build_ok = !s.key_cols.empty() &&
+                        (s.stored || ctx_.ViewFor(s.relation) != nullptr);
         bool use_build = build_ok && cost_build <= cost_probe;
-
-        // Destination column of each still-live new variable in the side
-        // table built below (ext for build, cand for probe): new_vars
-        // order, dense.
-        std::vector<int> side_col_of_var(nvars, -1);
 
         if (use_build) {
           // BUILD: one scan of the extent (constants pushed down) into a
           // columnar side table — join columns first, then the new
           // variables' columns — indexed on the join columns; every batch
           // row probes the index.
-          ScanPattern pattern(l.args.size());
-          for (const auto& [i, c] : shape.const_checks) pattern[i] = c;
-          size_t njoin = join_vars.size();
-          ColumnTable ext(njoin + new_vars.size());
-          for (size_t i = 0; i < new_vars.size(); ++i) {
-            side_col_of_var[new_vars[i]] = static_cast<int>(njoin + i);
-          }
+          size_t njoin = s.join_pos.size();
+          ColumnTable ext(njoin + s.num_new);
           if (slot != nullptr) ++slot->scans;
           DELTAMON_RETURN_IF_ERROR(ScanRelation(
-              l.relation, l.state, pattern, [&](const Tuple& t) {
-                for (const auto& [i, j] : shape.repeat_checks) {
-                  if (!(t[i] == t[j])) return true;
-                }
+              s.relation, s.state, s.build_pattern, [&](const Tuple& t) {
+                if (!s.shape.RepeatsMatch(t)) return true;
                 for (size_t c = 0; c < njoin; ++c) {
-                  ext.AppendCell(c, t[shape.first_pos[join_vars[c]]]);
+                  ext.AppendCell(c, t[s.join_pos[c]]);
                 }
-                for (size_t c = 0; c < new_vars.size(); ++c) {
-                  ext.AppendCell(njoin + c,
-                                 t[shape.first_pos[new_vars[c]]]);
+                for (size_t c = 0; c < s.num_new; ++c) {
+                  ext.AppendCell(njoin + c, t[s.new_pos[c]]);
                 }
                 ext.FinishRow();
                 return true;
               }));
-          std::vector<size_t> ext_key_cols(njoin);
-          for (size_t c = 0; c < njoin; ++c) ext_key_cols[c] = c;
-          ColumnTable::HashIndex idx = ext.BuildIndex(ext_key_cols);
+          ColumnTable::HashIndex idx = ext.BuildIndex(s.build_key_cols);
           for (size_t row = 0; row < rows; ++row) {
-            size_t h = batch.table.KeyHash(row, batch_key_cols);
+            size_t h = batch.KeyHash(row, s.key_cols);
             for (uint32_t er = idx.First(h);
                  er != ColumnTable::HashIndex::kNoRow; er = idx.Next(er)) {
               if (slot != nullptr) ++slot->bindings_tried;
-              if (!ext.KeyEquals(er, ext_key_cols, batch.table, row,
-                                 batch_key_cols)) {
+              if (!ext.KeyEquals(er, s.build_key_cols, batch, row,
+                                 s.key_cols)) {
                 continue;
               }
-              copier.CopyThrough(batch, next, row);
-              for (const auto& [dst, var] : copier.fresh) {
-                next.table.AppendCellFrom(dst, ext, side_col_of_var[var],
-                                          er);
+              s.copier.CopyThrough(batch, next, row);
+              for (const auto& [dst, i] : s.fresh_new) {
+                next.AppendCellFrom(dst, ext, njoin + i, er);
               }
-              next.table.FinishRow();
+              next.FinishRow();
             }
           }
           if (slot != nullptr) {
@@ -612,24 +789,19 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
           // issues one ScanRelation with the key (and constants) pushed
           // down, collects the matches' new-variable columns, then
           // cross-emits members × matches.
-          for (size_t i = 0; i < new_vars.size(); ++i) {
-            side_col_of_var[new_vars[i]] = static_cast<int>(i);
-          }
-          ColumnTable::Grouping g = batch.table.GroupByKey(batch_key_cols);
+          ColumnTable::Grouping g = batch.GroupByKey(s.key_cols);
           for (size_t gi = 0; gi < g.reps.size(); ++gi) {
-            if (slot != nullptr) ++(any_pattern ? slot->probes : slot->scans);
-            ColumnTable cand(new_vars.size());
+            if (slot != nullptr) ++(s.any_pattern ? slot->probes : slot->scans);
+            ColumnTable cand(s.num_new);
             DELTAMON_RETURN_IF_ERROR(ScanRelation(
-                l.relation, l.state, fill_pattern(g.reps[gi]),
+                s.relation, s.state, s.probe.Fill(batch, g.reps[gi]),
                 [&](const Tuple& t) {
                   if (slot != nullptr) ++slot->bindings_tried;
                   // Bound-variable repeats are fully covered by the
                   // pattern; unbound repeats still need the cross-check.
-                  for (const auto& [i, j] : shape.repeat_checks) {
-                    if (!(t[i] == t[j])) return true;
-                  }
-                  for (size_t c = 0; c < new_vars.size(); ++c) {
-                    cand.AppendCell(c, t[shape.first_pos[new_vars[c]]]);
+                  if (!s.shape.RepeatsMatch(t)) return true;
+                  for (size_t c = 0; c < s.num_new; ++c) {
+                    cand.AppendCell(c, t[s.new_pos[c]]);
                   }
                   cand.FinishRow();
                   return true;
@@ -637,12 +809,11 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
             if (cand.empty()) continue;
             for (uint32_t row : g.rows[gi]) {
               for (size_t cr = 0; cr < cand.num_rows(); ++cr) {
-                copier.CopyThrough(batch, next, row);
-                for (const auto& [dst, var] : copier.fresh) {
-                  next.table.AppendCellFrom(dst, cand,
-                                            side_col_of_var[var], cr);
+                s.copier.CopyThrough(batch, next, row);
+                for (const auto& [dst, i] : s.fresh_new) {
+                  next.AppendCellFrom(dst, cand, i, cr);
                 }
-                next.table.FinishRow();
+                next.FinishRow();
               }
             }
           }
@@ -651,41 +822,25 @@ Result<bool> Evaluator::TryEvaluateClauseKernel(const Clause& clause,
                                                 : "hash-join/probe";
           }
         }
-        stats_.bindings_produced +=
-            next.table.num_rows() * new_vars.size();
+        stats_.bindings_produced += next.num_rows() * s.num_new;
         break;
       }
     }
     batch = std::move(next);
-    if (slot != nullptr) slot->rows_out += batch.table.num_rows();
+    if (slot != nullptr) slot->rows_out += batch.num_rows();
   }
 
-  // Head projection into the (deduplicating) result set; with derivations
-  // requested, the generator's args rebuild each row's Δ-row alongside.
-  auto compile = [&batch](const std::vector<Term>& terms) {
-    std::vector<Operand> ops;
-    ops.reserve(terms.size());
-    for (const Term& t : terms) ops.push_back(CompileOperand(t, batch));
-    return ops;
-  };
-  auto project = [&batch](const std::vector<Operand>& ops, size_t row) {
-    std::vector<Value> vals;
-    vals.reserve(ops.size());
-    for (const Operand& o : ops) vals.push_back(OperandValue(o, batch, row));
-    return Tuple(std::move(vals));
-  };
-  const std::vector<Operand> head_ops = compile(clause.head_args);
-  const std::vector<Operand> delta_ops =
-      derivations != nullptr ? compile(body[order[0]].args)
-                             : std::vector<Operand>{};
-  for (size_t row = 0; row < batch.table.num_rows(); ++row) {
-    Tuple head = project(head_ops, row);
+  // Head projection into the (deduplicating) result set. An early exit on
+  // an empty batch leaves no rows to project.
+  for (size_t row = 0; row < batch.num_rows(); ++row) {
+    Tuple head = ProjectRow(p.head_ops, batch, row);
     if (derivations != nullptr) {
-      derivations->push_back(Derivation{head, project(delta_ops, row)});
+      derivations->push_back(
+          Derivation{head, ProjectRow(p.delta_ops, batch, row)});
     }
     out->insert(std::move(head));
   }
-  return true;
+  return Status::OK();
 }
 
 }  // namespace deltamon::objectlog

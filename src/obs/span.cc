@@ -49,7 +49,7 @@ bool IsBookkeepingField(const std::string& key) {
 
 }  // namespace
 
-Span::Span(const char* category, std::string name) {
+Span::Span(const char* category, std::string_view name) {
   const TraceScope scope = CurrentTraceScope();
   sink_ = scope.sink != nullptr ? scope.sink : GetTraceSink();
   if (sink_ == nullptr) return;
@@ -58,7 +58,7 @@ Span::Span(const char* category, std::string name) {
   t_current_span = id_;
   trace_id_ = scope.trace_id;
   category_ = category;
-  name_ = std::move(name);
+  name_ = name;
   start_ns_ = NowNs();
 }
 
@@ -83,9 +83,9 @@ Span::~Span() {
   sink_->OnEvent(event);
 }
 
-void Span::AddField(std::string key, int64_t value) {
+void Span::AddField(std::string_view key, int64_t value) {
   if (sink_ == nullptr) return;
-  fields_.emplace_back(std::move(key), value);
+  fields_.emplace_back(std::string(key), value);
 }
 
 void Span::SetName(std::string name) {

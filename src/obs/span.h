@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,8 +34,9 @@ namespace deltamon::obs {
 class Span {
  public:
   /// Starts a span (active iff a trace sink applies). `category` must be
-  /// a string with static storage duration; `name` is copied.
-  Span(const char* category, std::string name);
+  /// a string with static storage duration; `name` is copied only when the
+  /// span is active.
+  Span(const char* category, std::string_view name);
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   /// Ends the span and emits its TraceEvent.
@@ -45,9 +47,10 @@ class Span {
   uint64_t id() const { return id_; }
 
   /// Attaches an integer field to the span's end event. No-op when
-  /// inactive, so call sites need no guard for cheap values; guard on
-  /// active() before computing expensive ones.
-  void AddField(std::string key, int64_t value);
+  /// inactive (the key is copied only when active), so call sites need no
+  /// guard for cheap values; guard on active() before computing expensive
+  /// ones.
+  void AddField(std::string_view key, int64_t value);
 
   /// Replaces the span name (e.g. to append a catalog-resolved relation
   /// name computed only when tracing is on). No-op when inactive.

@@ -336,6 +336,12 @@ Result<const core::PropagationNetwork*> RuleManager::network() {
   if (network_dirty_ || (network_ == nullptr && !activations_.empty())) {
     DELTAMON_RETURN_IF_ERROR(RebuildNetwork());
   }
+  // New observed selectivities (analyze rule, explain analyze) steer the
+  // very next wave's literal order. Callers hold the exclusive gate, so no
+  // wave is reading the plans.
+  if (network_ != nullptr) {
+    network_->RefreshKernelPlans(registry_, db_.catalog());
+  }
   return static_cast<const core::PropagationNetwork*>(network_.get());
 }
 

@@ -10,6 +10,7 @@ void StatsStore::Record(RelationId relation, int role, int nbound,
   cell.tried += tried;
   cell.produced += produced;
   count_.store(cells_.size(), std::memory_order_relaxed);
+  version_.fetch_add(1);
 }
 
 std::optional<double> StatsStore::Selectivity(RelationId relation, int role,
@@ -25,6 +26,7 @@ void StatsStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   cells_.clear();
   count_.store(0, std::memory_order_relaxed);
+  version_.fetch_add(1);
 }
 
 size_t StatsStore::size() const {

@@ -40,6 +40,11 @@ class StatsStore {
   void Clear();
   size_t size() const;
 
+  /// Bumped by every Record that folds in an observation and by every
+  /// Clear. Plans derived from the stats (objectlog::KernelPlan) record
+  /// the version they were compiled at and are stale once it moves.
+  uint64_t version() const { return version_.load(); }
+
   /// Lock-free emptiness probe for the optimizer's hot path: ordering a
   /// clause body consults the store per literal, and until the first
   /// ANALYZE has recorded anything there is no point paying the mutex.
@@ -62,6 +67,7 @@ class StatsStore {
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, Cell> cells_;
   std::atomic<size_t> count_{0};
+  std::atomic<uint64_t> version_{0};
 };
 
 }  // namespace deltamon

@@ -201,6 +201,158 @@ TEST(ExplainAnalyzeDeterminismTest, ReportIsIdenticalAcrossThreadCounts) {
   }
 }
 
+/// The paper's inventory schema (threshold expanded through supplies and
+/// delivery_time). Its Δquantity differentials have several single-bound
+/// probes, so observed selectivities reorder them: the commit profiled
+/// after `analyze rule` runs delivery_time first (semi-join filtered)
+/// where the one before ran supplies first. Both reports were captured
+/// from per-evaluation planning; plans compiled with the network and
+/// refreshed when the stats move must reproduce them byte for byte.
+TEST(ExplainAnalyzePinTest, CommitReportsBeforeAndAfterAnalyzeRule) {
+  obs::SetEnabled(true);
+  Engine engine;
+  Session session(engine);
+  auto setup = session.Execute(
+      "create type item;"
+      "create type supplier;"
+      "create function quantity(item) -> integer;"
+      "create function max_stock(item) -> integer;"
+      "create function min_stock(item) -> integer;"
+      "create function consume_freq(item) -> integer;"
+      "create function supplies(supplier) -> item;"
+      "create function delivery_time(item, supplier) -> integer;"
+      "create function threshold(item i) -> integer as"
+      "  select consume_freq(i) * delivery_time(i, s) + min_stock(i)"
+      "  for each supplier s where supplies(s) = i;"
+      "create rule monitor_items() as"
+      "  when for each item i where quantity(i) < threshold(i)"
+      "  do set quantity(i) = max_stock(i);"
+      "create item instances :a, :b, :c;"
+      "create supplier instances :s1, :s2, :s3;"
+      "set supplies(:s1) = :a; set supplies(:s2) = :b;"
+      "set supplies(:s3) = :c;"
+      "set consume_freq(:a) = 20; set consume_freq(:b) = 20;"
+      "set consume_freq(:c) = 20;"
+      "set delivery_time(:a, :s1) = 2; set delivery_time(:b, :s2) = 3;"
+      "set delivery_time(:c, :s3) = 2;"
+      "set min_stock(:a) = 100; set min_stock(:b) = 100;"
+      "set min_stock(:c) = 100;"
+      "set max_stock(:a) = 5000; set max_stock(:b) = 5000;"
+      "set max_stock(:c) = 5000;"
+      "set quantity(:a) = 1000; set quantity(:b) = 1000;"
+      "set quantity(:c) = 1000;"
+      "commit;"
+      "activate monitor_items();");
+  ASSERT_TRUE(setup.ok()) << setup.status();
+
+  auto before =
+      session.Execute("set quantity(:a) = 100; explain analyze commit;");
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_TRUE(session.Execute("analyze rule monitor_items;").ok());
+  auto after =
+      session.Execute("set quantity(:b) = 100; explain analyze commit;");
+  ASSERT_TRUE(after.ok()) << after.status();
+
+  EXPECT_EQ(StripTimes(before->report), R"(EXPLAIN ANALYZE
+clause action:monitor_items: ?(i, _G1) <- max_stock(i, _G1)
+  invocations: 1
+  rank  literal                              access                 est.rows     actual      sel      tried         time  flag
+     1  max_stock(i, _G1)                    scan                        3.0          1    1.000          1
+clause cnd_monitor_items#0: cnd_monitor_items(i) <- quantity(i, _G1) AND threshold(i, _G2) AND _G1 < _G2
+  invocations: 2
+  rank  literal                              access                 est.rows     actual      sel      tried         time  flag
+     1  quantity(i, _G1)                     scan                        6.0          2    1.000          2
+     2  threshold(i, _G2)                    probe/1                     6.0          2    1.000          2
+     3  _G1 < _G2                            compare                     3.0          0    0.000          2
+clause threshold#0: threshold(i, _G7) <- supplies(s, _G2) AND _G2 = i AND consume_freq(i, _G3) AND delivery_time(i, s, _G4) AND _G5 = _G3 * _G4 AND min_stock(i, _G6) AND _G7 = _G5 + _G6
+  invocations: 2
+  rank  literal                              access                 est.rows     actual      sel      tried         time  flag
+     1  supplies(s, _G2)                     scan                        6.0          2    1.000          2
+     2  _G2 = i                              compare                     6.0          2    1.000          2
+     3  delivery_time(i, s, _G4)             probe/2                     0.2          2    1.000          2
+     4  consume_freq(i, _G3)                 probe/1                     0.1          2    1.000          2
+     5  _G5 = _G3 * _G4                      arith                       0.1          2    1.000          2
+     6  min_stock(i, _G6)                    probe/1                     0.0          2    1.000          2
+     7  _G7 = _G5 + _G6                      arith                       0.0          2    1.000          2
+clause Δ+cnd_monitor_items/Δ+quantity#0: cnd_monitor_items(i) <- Δ+quantity(i, _G1) AND supplies(s', _G2') AND _G2' = i AND consume_freq(i, _G3') AND delivery_time(i, s', _G4') AND _G5' = _G3' * _G4' AND min_stock(i, _G6') AND _G2 = _G5' + _G6' AND _G1 < _G2
+  invocations: 2
+  rank  literal                              access                 est.rows     actual      sel      tried         time  flag
+     1  Δ+quantity(i, _G1)                  delta+                      2.0          2    1.000          2
+     2  _G2' = i                             compare                     2.0          2    1.000          2
+     3  supplies(s', _G2')                   hash-join/build             0.6          2    1.000          2
+     4  delivery_time(i, s', _G4')           hash-join/build             0.0          2    1.000          2
+     5  consume_freq(i, _G3')                hash-join/build             0.0          2    1.000          2
+     6  _G5' = _G3' * _G4'                   arith                       0.0          2    1.000          2
+     7  min_stock(i, _G6')                   hash-join/build             0.0          2    1.000          2
+     8  _G2 = _G5' + _G6'                    arith                       0.0          2    1.000          2
+     9  _G1 < _G2                            compare                     0.0          1    0.500          2
+clause Δ-cnd_monitor_items/Δ-quantity#0: cnd_monitor_items(i) <- Δ-quantity(i, _G1) AND supplies_old(s', _G2') AND _G2' = i AND consume_freq_old(i, _G3') AND delivery_time_old(i, s', _G4') AND _G5' = _G3' * _G4' AND min_stock_old(i, _G6') AND _G2 = _G5' + _G6' AND _G1 < _G2
+  invocations: 2
+  rank  literal                              access                 est.rows     actual      sel      tried         time  flag
+     1  Δ-quantity(i, _G1)                  delta-                      2.0          2    1.000          2
+     2  _G2' = i                             compare                     2.0          2    1.000          2
+     3  supplies_old(s', _G2')               hash-join/build             0.6          2    1.000          2
+     4  delivery_time_old(i, s', _G4')       hash-join/build             0.0          2    1.000          2
+     5  consume_freq_old(i, _G3')            hash-join/build             0.0          2    1.000          2
+     6  _G5' = _G3' * _G4'                   arith                       0.0          2    1.000          2
+     7  min_stock_old(i, _G6')               hash-join/build             0.0          2    1.000          2
+     8  _G2 = _G5' + _G6'                    arith                       0.0          2    1.000          2
+     9  _G1 < _G2                            compare                     0.0          1    0.500          2
+)");
+  EXPECT_EQ(StripTimes(after->report), R"(EXPLAIN ANALYZE
+clause action:monitor_items: ?(i, _G1) <- max_stock(i, _G1)
+  invocations: 1
+  rank  literal                              access                 est.rows     actual      sel      tried         time  flag
+     1  max_stock(i, _G1)                    scan                        3.0          1    1.000          1
+clause cnd_monitor_items#0: cnd_monitor_items(i) <- quantity(i, _G1) AND threshold(i, _G2) AND _G1 < _G2
+  invocations: 2
+  rank  literal                              access                 est.rows     actual      sel      tried         time  flag
+     1  quantity(i, _G1)                     scan                        6.0          2    1.000          2
+     2  threshold(i, _G2)                    probe/1                    60.0          2    1.000          2  MISEST
+     3  _G1 < _G2                            compare                    30.0          0    0.000          2  MISEST
+clause threshold#0: threshold(i, _G7) <- supplies(s, _G2) AND _G2 = i AND consume_freq(i, _G3) AND delivery_time(i, s, _G4) AND _G5 = _G3 * _G4 AND min_stock(i, _G6) AND _G7 = _G5 + _G6
+  invocations: 2
+  rank  literal                              access                 est.rows     actual      sel      tried         time  flag
+     1  supplies(s, _G2)                     scan                        6.0          2    1.000          2
+     2  _G2 = i                              compare                     6.0          2    1.000          2
+     3  consume_freq(i, _G3)                 probe/1                    18.0          2    1.000          2  MISEST
+     4  delivery_time(i, s, _G4)             probe/2                    54.0          2    1.000          2  MISEST
+     5  _G5 = _G3 * _G4                      arith                      54.0          2    1.000          2  MISEST
+     6  min_stock(i, _G6)                    probe/1                   162.0          2    1.000          2  MISEST
+     7  _G7 = _G5 + _G6                      arith                     162.0          2    1.000          2  MISEST
+clause Δ+cnd_monitor_items/Δ+quantity#0: cnd_monitor_items(i) <- Δ+quantity(i, _G1) AND supplies(s', _G2') AND _G2' = i AND consume_freq(i, _G3') AND delivery_time(i, s', _G4') AND _G5' = _G3' * _G4' AND min_stock(i, _G6') AND _G2 = _G5' + _G6' AND _G1 < _G2
+  invocations: 2
+  rank  literal                              access                 est.rows     actual      sel      tried         time  flag
+     1  Δ+quantity(i, _G1)                  delta+                      2.0          2    1.000          2
+     2  _G2' = i                             compare                     2.0          2    1.000          2
+     3  delivery_time(i, s', _G4')           semijoin-filtered           0.6          2    1.000          2
+     4  supplies(s', _G2')                   hash-join/probe             0.0          2    1.000          2
+     5  consume_freq(i, _G3')                hash-join/build             0.1          2    1.000          2
+     6  _G5' = _G3' * _G4'                   arith                       0.1          2    1.000          2
+     7  min_stock(i, _G6')                   hash-join/build             0.2          2    1.000          2
+     8  _G2 = _G5' + _G6'                    arith                       0.2          2    1.000          2
+     9  _G1 < _G2                            compare                     0.1          1    0.500          2
+clause Δ-cnd_monitor_items/Δ-quantity#0: cnd_monitor_items(i) <- Δ-quantity(i, _G1) AND supplies_old(s', _G2') AND _G2' = i AND consume_freq_old(i, _G3') AND delivery_time_old(i, s', _G4') AND _G5' = _G3' * _G4' AND min_stock_old(i, _G6') AND _G2 = _G5' + _G6' AND _G1 < _G2
+  invocations: 2
+  rank  literal                              access                 est.rows     actual      sel      tried         time  flag
+     1  Δ-quantity(i, _G1)                  delta-                      2.0          2    1.000          2
+     2  _G2' = i                             compare                     2.0          2    1.000          2
+     3  delivery_time_old(i, s', _G4')       semijoin-filtered           0.6          2    1.000          2
+     4  supplies_old(s', _G2')               hash-join/probe             0.0          2    1.000          2
+     5  consume_freq_old(i, _G3')            hash-join/build             0.1          2    1.000          2
+     6  _G5' = _G3' * _G4'                   arith                       0.1          2    1.000          2
+     7  min_stock_old(i, _G6')               hash-join/build             0.2          2    1.000          2
+     8  _G2 = _G5' + _G6'                    arith                       0.2          2    1.000          2
+     9  _G1 < _G2                            compare                     0.1          1    0.500          2
+)");
+
+  // Both commits fired the rule.
+  auto rows = session.Execute("select quantity(:a), quantity(:b);");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->rows.size(), 1u);
+  EXPECT_EQ(rows->rows[0], (Tuple{Value(5000), Value(5000)}));
+}
+
 TEST(ShowMetricsPrometheusTest, RendersExpositionFormat) {
   obs::SetEnabled(true);
   Engine engine;

@@ -13,6 +13,7 @@
 #include "common/value.h"
 #include "delta/delta_set.h"
 #include "delta/delta_view.h"
+#include "obs/span.h"
 
 namespace {
 
@@ -165,6 +166,26 @@ TEST(AllocCountTest, DeltaViewScanThroughStdFunctionDoesNotAllocate) {
   }
   EXPECT_EQ(AllocCount(), before) << "Δ-set view scans must not touch the heap";
   EXPECT_EQ(seen, 20u + 20u + 20u);
+}
+
+TEST(AllocCountTest, InactiveSpanWithLongNameAndKeyDoesNotAllocate) {
+#if !DELTAMON_ALLOC_COUNTS_RELIABLE
+  GTEST_SKIP() << "allocation counting unreliable under sanitizers";
+#endif
+  // With no sink installed a span is inactive. Every untraced propagation
+  // wave opens spans whose names and field keys outgrow the small-string
+  // buffer ("incremental_round", "base_influents_changed", ...); neither
+  // may reach the heap unless a sink will read it.
+  ASSERT_TRUE(obs::GetTraceSink() == nullptr);
+  bool active = true;
+  uint64_t before = AllocCount();
+  {
+    obs::Span span("rules", "a_span_name_longer_than_sso");
+    span.AddField("a_field_key_longer_than_sso", 1);
+    active = span.active();
+  }
+  EXPECT_EQ(AllocCount(), before) << "inactive spans must not touch the heap";
+  EXPECT_FALSE(active);
 }
 
 }  // namespace

@@ -50,6 +50,21 @@ TEST(StatsStoreTest, KeysAreDistinctPerRoleAndBoundness) {
   EXPECT_DOUBLE_EQ(*stats.Selectivity(8, 0, 1), 1.0);
 }
 
+TEST(StatsStoreTest, VersionMovesWithEveryRecordedObservationAndClear) {
+  StatsStore stats;
+  const uint64_t v0 = stats.version();
+  stats.Record(7, 0, 1, /*tried=*/0, /*produced=*/0);  // no signal
+  EXPECT_EQ(stats.version(), v0);
+  stats.Record(7, 0, 1, 100, 10);
+  const uint64_t v1 = stats.version();
+  EXPECT_NE(v1, v0);
+  stats.Record(7, 0, 1, 100, 10);  // same cell, new totals
+  EXPECT_NE(stats.version(), v1);
+  const uint64_t v2 = stats.version();
+  stats.Clear();
+  EXPECT_NE(stats.version(), v2);
+}
+
 TEST(StatsStoreTest, ClearForgetsEverything) {
   StatsStore stats;
   stats.Record(7, 0, 1, 100, 10);
