@@ -14,8 +14,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cmath>
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -87,15 +90,15 @@ Tuple ProjectRow(const std::vector<Operand>& ops, const ColumnTable& batch,
   return Tuple(std::move(vals));
 }
 
-/// Row transfer from one batch layout to the next: passthrough columns are
-/// copied rep-to-rep; `fresh` lists the destination columns a step must
-/// fill with newly bound values before FinishRow.
-struct RowCopier {
+/// Column transfer from one batch layout to the next: passthrough columns
+/// are gathered rep-to-rep; `fresh` lists the destination columns a step
+/// must fill with newly bound values.
+struct ColumnCopier {
   std::vector<int> src_of_dst;
   std::vector<std::pair<int, int>> fresh;  ///< (dst column, var)
 
-  RowCopier() = default;
-  RowCopier(const Layout& src, const Layout& dst) {
+  ColumnCopier() = default;
+  ColumnCopier(const Layout& src, const Layout& dst) {
     src_of_dst.resize(dst.width());
     for (size_t c = 0; c < dst.width(); ++c) {
       int v = dst.var_of_col[c];
@@ -104,10 +107,13 @@ struct RowCopier {
     }
   }
 
-  void CopyThrough(const ColumnTable& src, ColumnTable& dst,
-                   size_t row) const {
+  /// Gathers every passthrough column of `dst` from `src` at rows `sel`.
+  void GatherThrough(const ColumnTable& src, std::span<const uint32_t> sel,
+                     ColumnTable& dst) const {
     for (size_t c = 0; c < src_of_dst.size(); ++c) {
-      if (src_of_dst[c] >= 0) dst.AppendCellFrom(c, src, src_of_dst[c], row);
+      if (src_of_dst[c] >= 0) {
+        dst.Gather(c, src, static_cast<size_t>(src_of_dst[c]), sel);
+      }
     }
   }
 };
@@ -196,11 +202,11 @@ struct ProbeRecipe {
     }
   }
 
-  ScanPattern Fill(const ColumnTable& batch, size_t row) const {
-    ScanPattern pattern(arity);
-    for (const auto& [i, c] : consts) pattern[i] = c;
-    for (const auto& [i, col] : cols) pattern[i] = batch.Get(row, col);
-    return pattern;
+  /// Refills `*pattern` in place for batch row `row`.
+  void Fill(const ColumnTable& batch, size_t row, ScanPattern* pattern) const {
+    pattern->assign(arity, std::nullopt);
+    for (const auto& [i, c] : consts) (*pattern)[i] = c;
+    for (const auto& [i, col] : cols) (*pattern)[i] = batch.Get(row, col);
   }
 };
 
@@ -209,8 +215,8 @@ struct ProbeRecipe {
 struct KernelStep {
   Literal::Kind kind = Literal::Kind::kRelation;
   size_t slot = 0;  ///< body position: the step's profile slot
-  Layout out;       ///< layout of the batch the step produces
-  RowCopier copier;  ///< input layout -> out
+  Layout out;          ///< layout of the batch the step produces
+  ColumnCopier copier;  ///< input layout -> out
 
   // kCompare: a `=` binder copies `a` into the fresh column; a filter
   // keeps rows where cmp(a, b) holds.
@@ -434,7 +440,7 @@ KernelPlan KernelPlan::Compile(const Clause& clause,
     s.kind = l.kind;
     s.slot = order[k];
     s.out = Layout(nvars, bound_after[k], needed_in[k + 1]);
-    s.copier = RowCopier(*in, s.out);
+    s.copier = ColumnCopier(*in, s.out);
     switch (l.kind) {
       case Literal::Kind::kCompare: {
         s.cmp = l.cmp;
@@ -551,6 +557,74 @@ KernelPlan KernelPlan::Compile(const Clause& clause,
   return plan;
 }
 
+/// RunKernelPlan's working storage. Every table and vector is reset
+/// between uses, never freed, so once warm a one-row partial differential
+/// allocates only its head tuples. An EvalCache owns it; EvalCache::Clear
+/// and dropping the cache free it.
+struct KernelScratch {
+  /// The batch a step consumes and the one it produces, swapped per step.
+  ColumnTable tables[2];
+  ColumnTable build;  ///< a build join's extent
+  ColumnTable cand;   ///< a probe join's candidates, one range per group
+  ColumnTable::Grouping grouping;
+  ColumnTable::HashIndex index;
+  /// Surviving batch rows in emission order, and for joins the build or
+  /// candidate row each is paired with.
+  std::vector<uint32_t> sel;
+  std::vector<uint32_t> match;
+  std::vector<size_t> hashes;    ///< batch-side key hashes
+  std::vector<uint32_t> ranges;  ///< group g's candidates: [g], [g + 1]
+  std::vector<char> keep;        ///< per group: its rows survive
+  ScanPattern pattern;
+  bool running = false;  ///< a RunKernelPlan call is using it
+};
+
+EvalCache::EvalCache() = default;
+EvalCache::~EvalCache() = default;
+EvalCache::EvalCache(EvalCache&&) noexcept = default;
+EvalCache& EvalCache::operator=(EvalCache&&) noexcept = default;
+
+void EvalCache::Clear() {
+  extents_.clear();
+  indexed_.clear();
+  kernel_scratch_.reset();
+}
+
+KernelScratch& EvalCache::kernel_scratch() {
+  if (kernel_scratch_ == nullptr) {
+    kernel_scratch_ = std::make_unique<KernelScratch>();
+  }
+  return *kernel_scratch_;
+}
+
+namespace {
+
+/// Marks a KernelScratch in use for one RunKernelPlan call.
+class ScratchLease {
+ public:
+  explicit ScratchLease(KernelScratch& scratch) : scratch_(scratch) {
+    assert(!scratch_.running && "RunKernelPlan re-entered on one EvalCache");
+    scratch_.running = true;
+  }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+  ~ScratchLease() { scratch_.running = false; }
+
+ private:
+  KernelScratch& scratch_;
+};
+
+/// What a join's ScanRelation callback appends to, behind the single
+/// pointer the callback captures — so the std::function built from it
+/// stays in its small buffer instead of allocating.
+struct ScanSink {
+  const KernelStep* step;
+  ColumnTable* table;
+  obs::LiteralProfile* slot;  ///< probe joins count each tuple tried
+};
+
+}  // namespace
+
 Status Evaluator::RunKernelPlan(const KernelPlan& plan, const Clause& clause,
                                 TupleSet* out, Derivations* derivations) {
   const KernelPlan::Program& p = *plan.program_;
@@ -560,8 +634,17 @@ Status Evaluator::RunKernelPlan(const KernelPlan& plan, const Clause& clause,
     return cp != nullptr ? &cp->slots[pos] : nullptr;
   };
 
+  // Kernel execution never re-enters RunKernelPlan on one evaluator:
+  // nested derived-relation reads run in the interpreter, and clauses with
+  // foreign, aggregate or recursive literals are ineligible. A cache serves
+  // one thread's evaluations (the propagator keeps one per worker), so one
+  // scratch per cache is enough.
+  KernelScratch& sc = cache_->kernel_scratch();
+  ScratchLease lease(sc);
+  ColumnTable* batch = &sc.tables[0];
+  ColumnTable* next = &sc.tables[1];
+
   // Step 0: materialize the Δ side into the wave-front table.
-  ColumnTable batch;
   {
     obs::LiteralProfile* slot = slot_of(p.order[0]);
     StepTimer timer(slot);
@@ -569,21 +652,51 @@ Status Evaluator::RunKernelPlan(const KernelPlan& plan, const Clause& clause,
     const DeltaSet* delta = ctx_.DeltaFor(p.delta_relation);
     if (delta == nullptr) return Status::OK();  // no change set: empty
     const TupleSet& side = p.delta_plus ? delta->plus() : delta->minus();
-    batch = ColumnTable(p.delta_layout.width());
-    batch.Reserve(side.size());
+    batch->Reset(p.delta_layout.width());
+    batch->Reserve(side.size());
     for (const Tuple& t : side) {
       ++stats_.tuples_examined;
       if (slot != nullptr) ++slot->bindings_tried;
       if (!p.delta_shape.Matches(t)) continue;
       for (size_t c = 0; c < p.delta_pos.size(); ++c) {
-        batch.AppendCell(c, t[p.delta_pos[c]]);
+        batch->AppendCell(c, t[p.delta_pos[c]]);
       }
-      batch.FinishRow();
+      batch->FinishRow();
     }
     stats_.bindings_produced +=
-        batch.num_rows() * p.delta_shape.distinct_vars.size();
-    if (slot != nullptr) slot->rows_out += batch.num_rows();
+        batch->num_rows() * p.delta_shape.distinct_vars.size();
+    if (slot != nullptr) slot->rows_out += batch->num_rows();
   }
+
+  // Existence selection, shared by the semi-join pre-filter and existence
+  // steps: one stop-at-first probe per distinct key over `key_cols`, then
+  // sc.sel lists, ascending, the rows whose group found a witness
+  // (`keep_found`) or found none (!keep_found).
+  auto select_by_existence = [&](const std::vector<size_t>& key_cols,
+                                 const KernelStep& s, const ProbeRecipe& probe,
+                                 bool keep_found,
+                                 uint64_t* probe_count) -> Status {
+    batch->GroupByKey(key_cols, &sc.grouping);
+    sc.keep.assign(sc.grouping.size(), 0);
+    for (size_t g = 0; g < sc.grouping.size(); ++g) {
+      if (probe_count != nullptr) ++*probe_count;
+      bool exists = false;
+      probe.Fill(*batch, sc.grouping.reps[g], &sc.pattern);
+      DELTAMON_RETURN_IF_ERROR(ScanRelation(
+          s.relation, s.state, sc.pattern, [&exists](const Tuple&) {
+            exists = true;
+            return false;  // stop at the first witness
+          }));
+      sc.keep[g] = exists == keep_found;
+    }
+    sc.sel.clear();
+    for (size_t row = 0; row < batch->num_rows(); ++row) {
+      if (sc.keep[sc.grouping.group_of[row]]) {
+        sc.sel.push_back(static_cast<uint32_t>(row));
+      }
+    }
+    return Status::OK();
+  };
 
   // Semi-join pre-filter: one stop-at-first existence probe per distinct
   // Δ-key of the flagged literal — when its extent is enumerable here.
@@ -594,76 +707,68 @@ Status Evaluator::RunKernelPlan(const KernelPlan& plan, const Clause& clause,
       semijoin_step = p.semijoin_step;
     }
   }
-  if (semijoin_step != 0 && !batch.empty()) {
+  if (semijoin_step != 0 && !batch->empty()) {
     const KernelStep& s = p.steps[semijoin_step - 1];
     obs::LiteralProfile* slot = slot_of(s.slot);
     StepTimer timer(slot);
-    ColumnTable::Grouping g = batch.GroupByKey(p.semijoin_key_cols);
-    std::vector<char> keep_row(batch.num_rows(), 0);
-    for (size_t gi = 0; gi < g.reps.size(); ++gi) {
-      if (slot != nullptr) ++slot->probes;
-      bool exists = false;
-      DELTAMON_RETURN_IF_ERROR(ScanRelation(
-          s.relation, s.state, p.semijoin_probe.Fill(batch, g.reps[gi]),
-          [&](const Tuple&) {
-            exists = true;
-            return false;  // stop at the first witness
-          }));
-      if (exists) {
-        for (uint32_t row : g.rows[gi]) keep_row[row] = 1;
-      }
+    DELTAMON_RETURN_IF_ERROR(select_by_existence(
+        p.semijoin_key_cols, s, p.semijoin_probe, /*keep_found=*/true,
+        slot != nullptr ? &slot->probes : nullptr));
+    next->Reset(batch->num_cols());
+    for (size_t c = 0; c < batch->num_cols(); ++c) {
+      next->Gather(c, *batch, c, sc.sel);
     }
-    ColumnTable next(batch.num_cols());
-    for (size_t row = 0; row < batch.num_rows(); ++row) {
-      if (!keep_row[row]) continue;
-      for (size_t c = 0; c < batch.num_cols(); ++c) {
-        next.AppendCellFrom(c, batch, c, row);
-      }
-      next.FinishRow();
-    }
-    batch = std::move(next);
+    next->FinishRows(sc.sel.size());
+    std::swap(batch, next);
   }
 
-  // Steps 1..n: each consumes the batch and produces the next layout.
-  for (size_t k = 1; k < p.order.size() && !batch.empty(); ++k) {
+  // Steps 1..n: each selects the surviving batch rows (and, for joins, the
+  // build or candidate row paired with each) into sc.sel / sc.match, then
+  // builds the next batch a column at a time: one gather per passthrough
+  // column, plus the fresh columns the step binds.
+  for (size_t k = 1; k < p.order.size() && !batch->empty(); ++k) {
     const KernelStep& s = p.steps[k - 1];
     obs::LiteralProfile* slot = slot_of(s.slot);
     StepTimer timer(slot);
-    size_t rows = batch.num_rows();
+    const size_t rows = batch->num_rows();
     if (slot != nullptr) slot->rows_in += rows;
-    ColumnTable next(s.out.width());
-    next.Reserve(rows);
+    next->Reset(s.out.width());
+    next->Reserve(rows);
+    sc.sel.clear();
+    sc.match.clear();
 
     switch (s.kind) {
       case Literal::Kind::kCompare: {
+        if (slot != nullptr) slot->bindings_tried += rows;
         if (s.binder) {
           for (size_t row = 0; row < rows; ++row) {
-            if (slot != nullptr) ++slot->bindings_tried;
-            s.copier.CopyThrough(batch, next, row);
-            for (const auto& [dst, var] : s.copier.fresh) {
-              next.AppendCell(dst, OperandValue(s.a, batch, row));
+            sc.sel.push_back(static_cast<uint32_t>(row));
+          }
+          for (const auto& [dst, var] : s.copier.fresh) {
+            if (!s.a.is_const) {
+              next->Gather(dst, *batch, s.a.col, sc.sel);
+              continue;
             }
-            next.FinishRow();
+            for (size_t row = 0; row < rows; ++row) {
+              next->AppendCell(dst, s.a.constant);
+            }
           }
           break;
         }
         for (size_t row = 0; row < rows; ++row) {
-          if (slot != nullptr) ++slot->bindings_tried;
-          if (!EvalCompare(s.cmp, OperandValue(s.a, batch, row),
-                           OperandValue(s.b, batch, row))) {
-            continue;
+          if (EvalCompare(s.cmp, OperandValue(s.a, *batch, row),
+                          OperandValue(s.b, *batch, row))) {
+            sc.sel.push_back(static_cast<uint32_t>(row));
           }
-          s.copier.CopyThrough(batch, next, row);
-          next.FinishRow();
         }
         break;
       }
 
       case Literal::Kind::kArith: {
+        if (slot != nullptr) slot->bindings_tried += rows;
         for (size_t row = 0; row < rows; ++row) {
-          if (slot != nullptr) ++slot->bindings_tried;
-          Value av = OperandValue(s.a, batch, row);
-          Value bv = OperandValue(s.b, batch, row);
+          Value av = OperandValue(s.a, *batch, row);
+          Value bv = OperandValue(s.b, *batch, row);
           Result<Value> r = [&]() {
             switch (s.arith) {
               case ArithOp::kAdd:
@@ -681,44 +786,30 @@ Status Evaluator::RunKernelPlan(const KernelPlan& plan, const Clause& clause,
           // same contract as the interpreter.
           if (!r.ok()) continue;
           if (s.check) {
-            if (OperandValue(s.expect, batch, row).Compare(*r) != 0) continue;
-            s.copier.CopyThrough(batch, next, row);
+            if (OperandValue(s.expect, *batch, row).Compare(*r) != 0) continue;
           } else {
-            s.copier.CopyThrough(batch, next, row);
+            // The result goes straight to its fresh column, in the same
+            // (selection) order as the rows the gathers below copy.
             for (const auto& [dst, var] : s.copier.fresh) {
-              next.AppendCell(dst, *r);
+              next->AppendCell(dst, *r);
             }
           }
-          next.FinishRow();
+          sc.sel.push_back(static_cast<uint32_t>(row));
         }
         break;
       }
 
       case Literal::Kind::kRelation: {
         if (s.existence) {
-          // Existence (or absence) filter: one stop-at-first probe per
-          // distinct key, whole groups survive or die together.
+          // Existence (or absence) filter: whole groups survive or die
+          // together.
           if (slot != nullptr) slot->bindings_tried += rows;
-          ColumnTable::Grouping g = batch.GroupByKey(s.key_cols);
-          std::vector<char> keep_row(rows, 0);
-          for (size_t gi = 0; gi < g.reps.size(); ++gi) {
-            if (slot != nullptr) ++(s.any_pattern ? slot->probes : slot->scans);
-            bool exists = false;
-            DELTAMON_RETURN_IF_ERROR(ScanRelation(
-                s.relation, s.state, s.probe.Fill(batch, g.reps[gi]),
-                [&](const Tuple&) {
-                  exists = true;
-                  return false;
-                }));
-            if (exists != s.negated) {
-              for (uint32_t row : g.rows[gi]) keep_row[row] = 1;
-            }
+          uint64_t* probe_count = nullptr;
+          if (slot != nullptr) {
+            probe_count = s.any_pattern ? &slot->probes : &slot->scans;
           }
-          for (size_t row = 0; row < rows; ++row) {
-            if (!keep_row[row]) continue;
-            s.copier.CopyThrough(batch, next, row);
-            next.FinishRow();
-          }
+          DELTAMON_RETURN_IF_ERROR(select_by_existence(
+              s.key_cols, s, s.probe, /*keep_found=*/!s.negated, probe_count));
           if (slot != nullptr && !s.negated) {
             slot->access = (k == semijoin_step) ? "semijoin-filtered"
                                                 : "hash-join/probe";
@@ -747,38 +838,41 @@ Status Evaluator::RunKernelPlan(const KernelPlan& plan, const Clause& clause,
           // BUILD: one scan of the extent (constants pushed down) into a
           // columnar side table — join columns first, then the new
           // variables' columns — indexed on the join columns; every batch
-          // row probes the index.
-          size_t njoin = s.join_pos.size();
-          ColumnTable ext(njoin + s.num_new);
+          // row then walks its hash chain, batch rows ascending.
+          const size_t njoin = s.join_pos.size();
+          sc.build.Reset(njoin + s.num_new);
           if (slot != nullptr) ++slot->scans;
+          const ScanSink sink{&s, &sc.build, nullptr};
           DELTAMON_RETURN_IF_ERROR(ScanRelation(
-              s.relation, s.state, s.build_pattern, [&](const Tuple& t) {
-                if (!s.shape.RepeatsMatch(t)) return true;
-                for (size_t c = 0; c < njoin; ++c) {
-                  ext.AppendCell(c, t[s.join_pos[c]]);
+              s.relation, s.state, s.build_pattern, [&sink](const Tuple& t) {
+                const KernelStep& st = *sink.step;
+                if (!st.shape.RepeatsMatch(t)) return true;
+                size_t c = 0;
+                for (size_t pos : st.join_pos) {
+                  sink.table->AppendCell(c++, t[pos]);
                 }
-                for (size_t c = 0; c < s.num_new; ++c) {
-                  ext.AppendCell(njoin + c, t[s.new_pos[c]]);
+                for (size_t pos : st.new_pos) {
+                  sink.table->AppendCell(c++, t[pos]);
                 }
-                ext.FinishRow();
+                sink.table->FinishRow();
                 return true;
               }));
-          ColumnTable::HashIndex idx = ext.BuildIndex(s.build_key_cols);
+          sc.build.BuildIndex(s.build_key_cols, &sc.index);
+          batch->KeyHashes(s.key_cols, &sc.hashes);
           for (size_t row = 0; row < rows; ++row) {
-            size_t h = batch.KeyHash(row, s.key_cols);
-            for (uint32_t er = idx.First(h);
-                 er != ColumnTable::HashIndex::kNoRow; er = idx.Next(er)) {
+            for (uint32_t er = sc.index.First(sc.hashes[row]);
+                 er != ColumnTable::HashIndex::kNoRow;
+                 er = sc.index.Next(er)) {
               if (slot != nullptr) ++slot->bindings_tried;
-              if (!ext.KeyEquals(er, s.build_key_cols, batch, row,
-                                 s.key_cols)) {
-                continue;
+              if (sc.build.KeyEquals(er, s.build_key_cols, *batch, row,
+                                     s.key_cols)) {
+                sc.sel.push_back(static_cast<uint32_t>(row));
+                sc.match.push_back(er);
               }
-              s.copier.CopyThrough(batch, next, row);
-              for (const auto& [dst, i] : s.fresh_new) {
-                next.AppendCellFrom(dst, ext, njoin + i, er);
-              }
-              next.FinishRow();
             }
+          }
+          for (const auto& [dst, i] : s.fresh_new) {
+            next->Gather(dst, sc.build, njoin + i, sc.match);
           }
           if (slot != nullptr) {
             slot->access = (k == semijoin_step) ? "semijoin-filtered"
@@ -787,56 +881,64 @@ Status Evaluator::RunKernelPlan(const KernelPlan& plan, const Clause& clause,
         } else {
           // PROBE: group the batch by its distinct join keys; each group
           // issues one ScanRelation with the key (and constants) pushed
-          // down, collects the matches' new-variable columns, then
-          // cross-emits members × matches.
-          ColumnTable::Grouping g = batch.GroupByKey(s.key_cols);
-          for (size_t gi = 0; gi < g.reps.size(); ++gi) {
+          // down, appending the matches' new-variable columns to one
+          // candidate table as the group's range, then emits group ×
+          // member × candidate.
+          batch->GroupByKey(s.key_cols, &sc.grouping);
+          sc.cand.Reset(s.num_new);
+          sc.ranges.assign(1, 0);
+          const ScanSink sink{&s, &sc.cand, slot};
+          for (size_t g = 0; g < sc.grouping.size(); ++g) {
             if (slot != nullptr) ++(s.any_pattern ? slot->probes : slot->scans);
-            ColumnTable cand(s.num_new);
+            s.probe.Fill(*batch, sc.grouping.reps[g], &sc.pattern);
             DELTAMON_RETURN_IF_ERROR(ScanRelation(
-                s.relation, s.state, s.probe.Fill(batch, g.reps[gi]),
-                [&](const Tuple& t) {
-                  if (slot != nullptr) ++slot->bindings_tried;
+                s.relation, s.state, sc.pattern, [&sink](const Tuple& t) {
+                  if (sink.slot != nullptr) ++sink.slot->bindings_tried;
                   // Bound-variable repeats are fully covered by the
                   // pattern; unbound repeats still need the cross-check.
-                  if (!s.shape.RepeatsMatch(t)) return true;
-                  for (size_t c = 0; c < s.num_new; ++c) {
-                    cand.AppendCell(c, t[s.new_pos[c]]);
+                  if (!sink.step->shape.RepeatsMatch(t)) return true;
+                  size_t c = 0;
+                  for (size_t pos : sink.step->new_pos) {
+                    sink.table->AppendCell(c++, t[pos]);
                   }
-                  cand.FinishRow();
+                  sink.table->FinishRow();
                   return true;
                 }));
-            if (cand.empty()) continue;
-            for (uint32_t row : g.rows[gi]) {
-              for (size_t cr = 0; cr < cand.num_rows(); ++cr) {
-                s.copier.CopyThrough(batch, next, row);
-                for (const auto& [dst, i] : s.fresh_new) {
-                  next.AppendCellFrom(dst, cand, i, cr);
-                }
-                next.FinishRow();
+            sc.ranges.push_back(static_cast<uint32_t>(sc.cand.num_rows()));
+          }
+          for (size_t g = 0; g < sc.grouping.size(); ++g) {
+            for (uint32_t row : sc.grouping.Members(g)) {
+              for (uint32_t cr = sc.ranges[g]; cr < sc.ranges[g + 1]; ++cr) {
+                sc.sel.push_back(row);
+                sc.match.push_back(cr);
               }
             }
+          }
+          for (const auto& [dst, i] : s.fresh_new) {
+            next->Gather(dst, sc.cand, i, sc.match);
           }
           if (slot != nullptr) {
             slot->access = (k == semijoin_step) ? "semijoin-filtered"
                                                 : "hash-join/probe";
           }
         }
-        stats_.bindings_produced += next.num_rows() * s.num_new;
+        stats_.bindings_produced += sc.sel.size() * s.num_new;
         break;
       }
     }
-    batch = std::move(next);
-    if (slot != nullptr) slot->rows_out += batch.num_rows();
+    s.copier.GatherThrough(*batch, sc.sel, *next);
+    next->FinishRows(sc.sel.size());
+    std::swap(batch, next);
+    if (slot != nullptr) slot->rows_out += batch->num_rows();
   }
 
   // Head projection into the (deduplicating) result set. An early exit on
   // an empty batch leaves no rows to project.
-  for (size_t row = 0; row < batch.num_rows(); ++row) {
-    Tuple head = ProjectRow(p.head_ops, batch, row);
+  for (size_t row = 0; row < batch->num_rows(); ++row) {
+    Tuple head = ProjectRow(p.head_ops, *batch, row);
     if (derivations != nullptr) {
       derivations->push_back(
-          Derivation{head, ProjectRow(p.delta_ops, batch, row)});
+          Derivation{head, ProjectRow(p.delta_ops, *batch, row)});
     }
     out->insert(std::move(head));
   }

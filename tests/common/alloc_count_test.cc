@@ -8,12 +8,16 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <unordered_map>
 
+#include "common/column_table.h"
 #include "common/tuple.h"
 #include "common/value.h"
 #include "delta/delta_set.h"
 #include "delta/delta_view.h"
+#include "objectlog/eval.h"
 #include "obs/span.h"
+#include "rules/engine.h"
 
 namespace {
 
@@ -21,18 +25,27 @@ std::atomic<uint64_t> g_allocations{0};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replacements are kept out of line: where GCC inlines one side of a
+// new/delete pair, its -Wmismatched-new-delete pairs the inlined malloc()
+// or free() with the other side's operator call and reports a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace deltamon {
 namespace {
@@ -186,6 +199,115 @@ TEST(AllocCountTest, InactiveSpanWithLongNameAndKeyDoesNotAllocate) {
   }
   EXPECT_EQ(AllocCount(), before) << "inactive spans must not touch the heap";
   EXPECT_FALSE(active);
+}
+
+TEST(AllocCountTest, ReserveOnUntypedColumnServesTheFirstKind) {
+#if !DELTAMON_ALLOC_COUNTS_RELIABLE
+  GTEST_SKIP() << "allocation counting unreliable under sanitizers";
+#endif
+  // An untyped column learns its representation from the first value, so
+  // a Reserve before it must land on the vector that value selects.
+  ColumnTable t(1);
+  uint64_t before = AllocCount();
+  t.Reserve(1000);
+  for (uint64_t i = 0; i < 1000; ++i) {
+    t.AppendCell(0, Value(Oid{i + 1, 1}));
+    t.FinishRow();
+  }
+  EXPECT_EQ(AllocCount() - before, 1u)
+      << "the reservation must be the only allocation";
+  EXPECT_EQ(t.num_rows(), 1000u);
+}
+
+/// An oltp_net-shaped partial differential over a small inventory:
+///   low(I, Q) <- Δ+quantity(I, Q), consume_freq(I, C),
+///                delivery_time(I, D), min_stock(I, M),
+///                X = C * D, T = X + M, Q < T
+/// (every item's threshold is 10 * 2 + 50 = 70).
+struct OltpDifferential {
+  Engine engine;
+  RelationId quantity = kInvalidRelationId;
+  std::unordered_map<RelationId, DeltaSet> deltas;
+  objectlog::Clause clause;
+
+  OltpDifferential() {
+    using objectlog::ArithOp;
+    using objectlog::CompareOp;
+    using objectlog::Literal;
+    using objectlog::Term;
+    Catalog& cat = engine.db.catalog();
+    const ColumnType int_col{ValueKind::kInt, kInvalidTypeId};
+    const FunctionSignature sig{{int_col}, {int_col}};
+    quantity = *cat.CreateStoredFunction("quantity", sig);
+    RelationId consume_freq = *cat.CreateStoredFunction("consume_freq", sig);
+    RelationId delivery_time = *cat.CreateStoredFunction("delivery_time", sig);
+    RelationId min_stock = *cat.CreateStoredFunction("min_stock", sig);
+    RelationId low = *cat.CreateDerivedFunction("low", sig);
+    for (int64_t i = 0; i < 1000; ++i) {
+      for (auto [rel, value] : {std::pair{consume_freq, 10},
+                                std::pair{delivery_time, 2},
+                                std::pair{min_stock, 50}}) {
+        EXPECT_TRUE(engine.db.Insert(rel, Tuple{Value(i), Value(value)}).ok());
+      }
+    }
+    auto v = [](int id) { return Term::Var(id); };
+    clause.head_relation = low;
+    clause.num_vars = 7;  // I Q C D M X T
+    clause.head_args = {v(0), v(1)};
+    clause.body = {Literal::Relation(quantity, {v(0), v(1)}),
+                   Literal::Relation(consume_freq, {v(0), v(2)}),
+                   Literal::Relation(delivery_time, {v(0), v(3)}),
+                   Literal::Relation(min_stock, {v(0), v(4)}),
+                   Literal::Arith(ArithOp::kMul, v(5), v(2), v(3)),
+                   Literal::Arith(ArithOp::kAdd, v(6), v(5), v(4)),
+                   Literal::Compare(CompareOp::kLt, v(1), v(6))};
+    clause.body[0].role = objectlog::RelationRole::kDeltaPlus;
+  }
+
+  void SetDelta(int64_t item, int64_t q) {
+    deltas[quantity] = DeltaSet{TupleSet{Tuple{Value(item), Value(q)}}, {}};
+  }
+};
+
+TEST(AllocCountTest, WarmOneRowDifferentialAllocatesOnlyItsOutput) {
+#if !DELTAMON_ALLOC_COUNTS_RELIABLE
+  GTEST_SKIP() << "allocation counting unreliable under sanitizers";
+#endif
+  // A propagation worker keeps its EvalCache across waves, and with it the
+  // kernels' scratch: once warm, a one-row differential allocates nothing
+  // but the head tuple it derives.
+  OltpDifferential d;
+  objectlog::StateContext ctx;
+  ctx.deltas = &d.deltas;
+  objectlog::EvalCache cache;
+  objectlog::Evaluator ev(d.engine.db, d.engine.registry, ctx, &cache);
+  ev.EnableKernels(true);
+  const objectlog::KernelPlan plan = objectlog::KernelPlan::Compile(
+      d.clause, d.engine.registry, d.engine.db.catalog(),
+      /*derivations=*/false);
+  ASSERT_TRUE(plan.eligible());
+
+  // Item 5 at quantity 100 fails Q < T: nothing derived.
+  d.SetDelta(5, 100);
+  TupleSet out;
+  out.reserve(4);
+  ASSERT_TRUE(ev.EvaluateClause(d.clause, &out, nullptr, &plan).ok());
+  uint64_t before = AllocCount();
+  ASSERT_TRUE(ev.EvaluateClause(d.clause, &out, nullptr, &plan).ok());
+  EXPECT_EQ(AllocCount() - before, 0u)
+      << "a warm differential whose row fails must not touch the heap";
+  EXPECT_TRUE(out.empty());
+
+  // At quantity 10 it passes: exactly one allocation, the head tuple.
+  d.SetDelta(5, 10);
+  TupleSet warm;
+  ASSERT_TRUE(ev.EvaluateClause(d.clause, &warm, nullptr, &plan).ok());
+  before = AllocCount();
+  ASSERT_TRUE(ev.EvaluateClause(d.clause, &out, nullptr, &plan).ok());
+  EXPECT_EQ(AllocCount() - before, 1u)
+      << "a warm differential must allocate only its head tuple";
+  EXPECT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out.contains(Tuple{Value(5), Value(10)}));
 }
 
 }  // namespace
