@@ -76,7 +76,7 @@ Result<std::unique_ptr<MonitorSetup>> SetupMonitorItems(
 /// is a distinct root node of the propagation network at the same level,
 /// which gives level-synchronous parallel propagation `num_rules`-wide
 /// waves to spread across workers — the single-rule setup has at most one
-/// derived node per level and therefore always takes the serial path.
+/// derived node per level, which always evaluates on the calling thread.
 struct FleetSetup {
   std::unique_ptr<Engine> engine;
   InventorySchema schema;

@@ -222,16 +222,7 @@ Result<PropagationNetwork> PropagationNetwork::Build(
     }
   }
 
-  // 4. Parents (distinct) per node, for wave-front Δ-set discarding.
-  for (const PartialDifferential& diff : net.differentials_) {
-    NetworkNode& child = net.nodes_.at(diff.influent);
-    if (std::find(child.parents.begin(), child.parents.end(), diff.target) ==
-        child.parents.end()) {
-      child.parents.push_back(diff.target);
-    }
-  }
-
-  // 5. Levels.
+  // 4. Levels.
   int max_level = 0;
   for (const auto& [rel, node] : net.nodes_) {
     max_level = std::max(max_level, node.level);
@@ -243,6 +234,30 @@ Result<PropagationNetwork> PropagationNetwork::Build(
   std::sort(ids.begin(), ids.end());
   for (RelationId rel : ids) {
     net.levels_[static_cast<size_t>(net.nodes_.at(rel).level)].push_back(rel);
+  }
+
+  // 5. Wave-front schedule: each derived non-root child is released by its
+  // last parent in level order — the merge that leaves it no reader — which
+  // is the first parent to read it when the levels are walked backwards.
+  // Roots keep their Δ-sets for the wave's result; the strict filter
+  // follows the first RootSpec naming a root.
+  std::unordered_set<RelationId> settled;  // roots and released children
+  for (const RootSpec& root : roots) {
+    if (settled.insert(root.relation).second) {
+      net.nodes_.at(root.relation).strict_root = root.strict;
+    }
+  }
+  for (auto level = net.levels_.rbegin(); level != net.levels_.rend();
+       ++level) {
+    for (auto rel = level->rbegin(); rel != level->rend(); ++rel) {
+      NetworkNode& parent = net.nodes_.at(*rel);
+      for (size_t edge : parent.in_edges) {
+        const RelationId child = net.differentials_[edge].influent;
+        if (!net.nodes_.at(child).is_base && settled.insert(child).second) {
+          parent.releases.push_back(child);
+        }
+      }
+    }
   }
 
   // 6. Batch-kernel plans: each differential is planned once, here, as an

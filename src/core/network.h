@@ -113,9 +113,15 @@ struct NetworkNode {
   /// Indexes into PropagationNetwork::differentials() whose target is this
   /// node, in (clause, literal) order.
   std::vector<size_t> in_edges;
-  /// Distinct parent nodes reading this node's Δ-set (for wave-front
-  /// discarding).
-  std::vector<RelationId> parents;
+  /// Wave-front schedule (§5): the derived non-root children whose Δ-sets
+  /// this node releases once merged — the children it is the last parent
+  /// of in levels() order. Every node of every level is merged on each
+  /// non-empty wave, in that fixed order, so the list is exact. Base and
+  /// root Δ-sets are never released.
+  std::vector<RelationId> releases;
+  /// Apply the §7.2 strict filter to this node's Δ+: the `strict` flag of
+  /// the first RootSpec naming it; false for non-root nodes.
+  bool strict_root = false;
   /// Cross-wave attribution; mutable because the propagator works on a
   /// const network (the topology IS immutable, the tallies are not).
   mutable NodeStats stats;

@@ -26,6 +26,17 @@ void PropagationResult::Stats::PublishToRegistry() const {
                          materialized_resident_tuples);
 }
 
+void PropagationResult::Stats::Add(const Stats& later) {
+  differentials_executed += later.differentials_executed;
+  differentials_skipped += later.differentials_skipped;
+  tuples_propagated += later.tuples_propagated;
+  filtered_plus += later.filtered_plus;
+  filtered_minus += later.filtered_minus;
+  peak_wavefront_tuples =
+      std::max(peak_wavefront_tuples, later.peak_wavefront_tuples);
+  materialized_resident_tuples = later.materialized_resident_tuples;
+}
+
 std::string TraceEntry::ToString(const Catalog& catalog) const {
   std::string out = "Δ";
   out += produces_plus ? "+" : "-";
@@ -45,6 +56,16 @@ std::vector<TraceEntry> PropagationResult::Explain(RelationId root) const {
   }
   return out;
 }
+
+namespace {
+
+/// One differential's output as a one-sided Δ-set.
+DeltaSet AsDelta(const PartialDifferential& diff, TupleSet produced) {
+  return diff.produces_plus ? DeltaSet(std::move(produced), TupleSet{})
+                            : DeltaSet(TupleSet{}, std::move(produced));
+}
+
+}  // namespace
 
 Status Propagator::ProcessNode(
     RelationId rel, size_t level,
@@ -111,6 +132,40 @@ Status Propagator::ProcessNode(
     return Status::OK();
   };
 
+  // Books one executed partial differential: its trace entry, its stats
+  // and its span's tuple counts. Self-edge runs pass a NullSpan: they stay
+  // under the fixpoint span.
+  auto book = [&](const PartialDifferential& diff, size_t consumed,
+                  size_t produced, auto& span) {
+    ++stats.differentials_executed;
+    stats.tuples_propagated += produced;
+    out->trace.push_back(TraceEntry{diff.target, diff.influent,
+                                    diff.reads_plus, diff.produces_plus,
+                                    consumed, produced});
+    if (!diff.aggregate) {
+      span.AddField("tuples_consumed", static_cast<int64_t>(consumed));
+    }
+    span.AddField("tuples_produced", static_cast<int64_t>(produced));
+  };
+
+  // §7.2 point queries against this node's definition: a tuple the query
+  // finds is dropped and counted in `*filtered`.
+  auto derivable_in = [&](objectlog::EvalState state, size_t* filtered) {
+    return [&evaluator, rel, state, filtered](const Tuple& t) -> Result<bool> {
+      DELTAMON_ASSIGN_OR_RETURN(bool derivable,
+                                evaluator.Derivable(rel, state, t));
+      *filtered += derivable;
+      return derivable;
+    };
+  };
+  // §7.2: a candidate deletion still derivable in the new state must not be
+  // propagated — otherwise ∪Δ could cancel a genuine insertion and the rule
+  // would under-react, which is unacceptable. (The dual over-approximation
+  // on the plus side is harmless here and handled at strict roots below.)
+  const auto still_derivable =
+      derivable_in(objectlog::EvalState::kNew, &stats.filtered_minus);
+  const decltype(still_derivable)* const no_filter = nullptr;
+
   DeltaSet acc;
   // Self-edges (linear recursion, paper §5 footnote) are iterated to a
   // fixpoint after the external contributions are known.
@@ -121,18 +176,25 @@ Status Propagator::ProcessNode(
       self_edges.push_back(edge);
       continue;
     }
+    // An aggregate edge consumes both sides of the source Δ-set, every
+    // other edge the side its Δ-role literal reads.
     auto src = wave.find(diff.influent);
-
-    // Aggregate edge (§8 extension): re-aggregate every group touched by
-    // the source Δ-set in the old and new states and diff — exact nets, so
-    // no §7.2 filtering is needed.
+    const size_t consumed =
+        src == wave.end() ? 0
+        : diff.aggregate  ? src->second.size()
+        : diff.reads_plus ? src->second.plus().size()
+                          : src->second.minus().size();
+    if (consumed == 0) {
+      ++stats.differentials_skipped;
+      continue;
+    }
+    DELTAMON_OBS_SPAN(diff_span, "propagation", "differential");
+    if (diff_span.active()) diff_span.SetName(diff.Name(db_.catalog()));
+    DeltaSet contribution;
     if (diff.aggregate) {
-      if (src == wave.end() || src->second.empty()) {
-        ++stats.differentials_skipped;
-        continue;
-      }
-      DELTAMON_OBS_SPAN(diff_span, "propagation", "differential");
-      if (diff_span.active()) diff_span.SetName(diff.Name(db_.catalog()));
+      // Aggregate edge (§8 extension): re-aggregate every group touched by
+      // the source Δ-set in the old and new states and diff — exact nets,
+      // so no §7.2 filtering is needed.
       const objectlog::AggregateDef& def = *node.aggregate;
       TupleSet keys;
       // Lineage only: each group's source Δ-rows, bucketed in the same
@@ -153,7 +215,6 @@ Status Propagator::ProcessNode(
           keys.insert(std::move(key));
         }
       }
-      size_t produced_total = 0;
       for (const Tuple& key : keys) {
         ScanPattern pattern(def.group_by.size() + 1);
         for (size_t i = 0; i < key.arity(); ++i) pattern[i] = key[i];
@@ -176,62 +237,18 @@ Status Propagator::ProcessNode(
             }
           }
         }
-        produced_total += group_delta.size();
-        acc.DeltaUnion(group_delta);
+        contribution.DeltaUnion(group_delta);
       }
-      ++stats.differentials_executed;
-      stats.tuples_propagated += produced_total;
       diff_span.AddField("groups", static_cast<int64_t>(keys.size()));
-      diff_span.AddField("tuples_produced",
-                         static_cast<int64_t>(produced_total));
-      out->trace.push_back(TraceEntry{diff.target, diff.influent, true, true,
-                                      src->second.size(), produced_total});
-      continue;
+      book(diff, consumed, contribution.size(), diff_span);
+    } else {
+      TupleSet produced;
+      DELTAMON_RETURN_IF_ERROR(run_differential(diff, &produced));
+      book(diff, consumed, produced.size(), diff_span);
+      contribution = AsDelta(diff, std::move(produced));
+      DELTAMON_RETURN_IF_ERROR(
+          contribution.FilterStrict(no_filter, &still_derivable));
     }
-
-    const TupleSet* side =
-        src == wave.end()
-            ? nullptr
-            : (diff.reads_plus ? &src->second.plus() : &src->second.minus());
-    if (side == nullptr || side->empty()) {
-      ++stats.differentials_skipped;
-      continue;
-    }
-    TupleSet produced;
-    DELTAMON_OBS_SPAN(diff_span, "propagation", "differential");
-    if (diff_span.active()) diff_span.SetName(diff.Name(db_.catalog()));
-    DELTAMON_RETURN_IF_ERROR(run_differential(diff, &produced));
-    diff_span.AddField("tuples_consumed",
-                       static_cast<int64_t>(side->size()));
-    diff_span.AddField("tuples_produced",
-                       static_cast<int64_t>(produced.size()));
-    ++stats.differentials_executed;
-    stats.tuples_propagated += produced.size();
-    out->trace.push_back(TraceEntry{diff.target, diff.influent,
-                                    diff.reads_plus, diff.produces_plus,
-                                    side->size(), produced.size()});
-
-    if (!diff.produces_plus) {
-      // §7.2: a candidate deletion still derivable in the new state must
-      // not be propagated — otherwise ∪Δ could cancel a genuine insertion
-      // and the rule would under-react, which is unacceptable. (The dual
-      // over-approximation on the plus side is harmless here and handled
-      // at strict roots below.)
-      for (auto it = produced.begin(); it != produced.end();) {
-        DELTAMON_ASSIGN_OR_RETURN(
-            bool still_there,
-            evaluator.Derivable(rel, objectlog::EvalState::kNew, *it));
-        if (still_there) {
-          ++stats.filtered_minus;
-          it = produced.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    DeltaSet contribution =
-        diff.produces_plus ? DeltaSet(std::move(produced), TupleSet{})
-                           : DeltaSet(TupleSet{}, std::move(produced));
     acc.DeltaUnion(contribution);
   }
 
@@ -242,9 +259,17 @@ Status Propagator::ProcessNode(
   // pruning tuples still derivable through surviving paths).
   if (!self_edges.empty() && !acc.empty()) {
     DELTAMON_OBS_SPAN(fixpoint_span, "propagation", "fixpoint");
+    obs::NullSpan no_span;
     overlay_slot = acc;
     TupleSet total_plus = acc.plus();
     TupleSet total_minus = acc.minus();
+    // A derived tuple is fresh only when the fixpoint has not seen it; a
+    // fresh deletion must also pass the §7.2 filter.
+    auto seen_plus = [&](const Tuple& t) { return total_plus.contains(t); };
+    auto seen_or_derivable = [&](const Tuple& t) -> Result<bool> {
+      if (total_minus.contains(t)) return true;
+      return still_derivable(t);
+    };
     constexpr int kMaxFixpointRounds = 100000;
     int round = 0;
     for (; round < kMaxFixpointRounds && !overlay_slot.empty(); ++round) {
@@ -260,26 +285,12 @@ Status Propagator::ProcessNode(
         }
         TupleSet produced;
         DELTAMON_RETURN_IF_ERROR(run_differential(diff, &produced));
-        ++stats.differentials_executed;
-        stats.tuples_propagated += produced.size();
-        out->trace.push_back(
-            TraceEntry{diff.target, diff.influent, diff.reads_plus,
-                       diff.produces_plus, side.size(), produced.size()});
-        for (const Tuple& t : produced) {
-          if (diff.produces_plus) {
-            if (!total_plus.contains(t)) fresh_plus.insert(t);
-          } else {
-            if (total_minus.contains(t)) continue;
-            DELTAMON_ASSIGN_OR_RETURN(
-                bool still_there,
-                evaluator.Derivable(rel, objectlog::EvalState::kNew, t));
-            if (still_there) {
-              ++stats.filtered_minus;
-            } else {
-              fresh_minus.insert(t);
-            }
-          }
-        }
+        book(diff, side.size(), produced.size(), no_span);
+        DeltaSet fresh = AsDelta(diff, std::move(produced));
+        DELTAMON_RETURN_IF_ERROR(
+            fresh.FilterStrict(&seen_plus, &seen_or_derivable));
+        fresh_plus.insert(fresh.plus().begin(), fresh.plus().end());
+        fresh_minus.insert(fresh.minus().begin(), fresh.minus().end());
       }
       total_plus.reserve(total_plus.size() + fresh_plus.size());
       total_plus.insert(fresh_plus.begin(), fresh_plus.end());
@@ -298,51 +309,32 @@ Status Propagator::ProcessNode(
     acc = DeltaSet(std::move(total_plus), std::move(total_minus));
   }
 
-  // Materialized mode: node Δ-sets must be exact nets, because the extent
-  // is maintained by applying them and parents reconstruct this node's OLD
-  // state by rolling its Δ back — an over-approximated Δ+ entry (a tuple
-  // that was already derivable) would wrongly vanish from the
-  // reconstructed old state. The node's own extent has not been applied
-  // yet, so it IS the old state: one hash probe filters each candidate.
-  // (Without views this filter is unnecessary: old states of derived nodes
-  // are re-evaluated from base relations.)
+  // Δ+ filters on the node's final Δ-set:
+  //  - Materialized mode: node Δ-sets must be exact nets, because the
+  //    extent is maintained by applying them and parents reconstruct this
+  //    node's OLD state by rolling its Δ back — an over-approximated Δ+
+  //    entry (a tuple that was already derivable) would wrongly vanish from
+  //    the reconstructed old state. The node's own extent has not been
+  //    applied yet, so it IS the old state: one hash probe filters each
+  //    candidate. (Without views this filter is unnecessary: old states of
+  //    derived nodes are re-evaluated from base relations.)
+  //  - Strict roots (§7.2): drop insertions whose condition instance was
+  //    already true in the old state.
   auto self_view = view_map.find(rel);
-  if (self_view != view_map.end() && !acc.plus().empty()) {
-    const BaseRelation* old_extent = self_view->second;
-    TupleSet kept;
-    kept.reserve(acc.plus().size());
-    for (const Tuple& t : acc.plus()) {
-      if (old_extent->Contains(t)) {
+  const BaseRelation* old_extent =
+      self_view == view_map.end() ? nullptr : self_view->second;
+  if (old_extent != nullptr || node.strict_root) {
+    const auto was_derivable =
+        derivable_in(objectlog::EvalState::kOld, &stats.filtered_plus);
+    auto already_true = [&](const Tuple& t) -> Result<bool> {
+      if (old_extent != nullptr && old_extent->Contains(t)) {
         ++stats.filtered_plus;
-      } else {
-        kept.insert(t);
+        return true;
       }
-    }
-    acc = DeltaSet(std::move(kept), acc.minus());
-  }
-
-  // Strict-semantics filter at monitored roots (§7.2): drop insertions
-  // whose condition instance was already true in the old state.
-  const RootSpec* root_spec = nullptr;
-  for (const RootSpec& root : network_.roots()) {
-    if (root.relation == rel) {
-      root_spec = &root;
-      break;
-    }
-  }
-  if (root_spec != nullptr && root_spec->strict && !acc.plus().empty()) {
-    TupleSet kept;
-    for (const Tuple& t : acc.plus()) {
-      DELTAMON_ASSIGN_OR_RETURN(
-          bool was_true,
-          evaluator.Derivable(rel, objectlog::EvalState::kOld, t));
-      if (was_true) {
-        ++stats.filtered_plus;
-      } else {
-        kept.insert(t);
-      }
-    }
-    acc = DeltaSet(std::move(kept), acc.minus());
+      if (!node.strict_root) return false;
+      return was_derivable(t);
+    };
+    DELTAMON_RETURN_IF_ERROR(acc.FilterStrict(&already_true, no_filter));
   }
 
   // acc is final here: fold this node's contribution into its cross-wave
@@ -371,24 +363,20 @@ Status Propagator::ProcessNode(
   return Status::OK();
 }
 
-Status Propagator::MergeNode(
-    RelationId rel, NodeOutput* out, PropagationResult* result,
-    std::unordered_map<RelationId, DeltaSet>* wave, size_t* wavefront,
-    std::unordered_map<RelationId, size_t>* pending_parents) const {
+Status Propagator::MergeNode(RelationId rel, NodeOutput* out,
+                             PropagationResult* result,
+                             std::unordered_map<RelationId, DeltaSet>* wave,
+                             size_t* wavefront) const {
   DELTAMON_RETURN_IF_ERROR(out->status);
-  result->stats.differentials_executed += out->stats.differentials_executed;
-  result->stats.differentials_skipped += out->stats.differentials_skipped;
-  result->stats.tuples_propagated += out->stats.tuples_propagated;
-  result->stats.filtered_plus += out->stats.filtered_plus;
-  result->stats.filtered_minus += out->stats.filtered_minus;
+  result->stats.Add(out->stats);
   for (TraceEntry& e : out->trace) result->trace.push_back(e);
 
+  const NetworkNode& node = network_.nodes().at(rel);
   if (options_.profiler != nullptr && !out->profile.empty()) {
     // Serial fold in fixed level order: the global profile and the node's
     // own profile see worker-private counters in a deterministic sequence,
     // so the merged result is bit-identical at any thread count.
-    const NetworkNode& profiled = network_.nodes().at(rel);
-    profiled.profile.Merge(out->profile);
+    node.profile.Merge(out->profile);
     options_.profiler->Merge(out->profile);
   }
 
@@ -400,34 +388,17 @@ Status Propagator::MergeNode(
   }
 
   DeltaSet& acc = out->acc;
-  if (views_ != nullptr && !acc.empty()) {
-    DELTAMON_RETURN_IF_ERROR(views_->Apply(rel, acc));
-  }
   if (!acc.empty()) {
+    if (views_ != nullptr) DELTAMON_RETURN_IF_ERROR(views_->Apply(rel, acc));
     *wavefront += acc.size();
     (*wave)[rel] = std::move(acc);
     result->stats.peak_wavefront_tuples =
         std::max(result->stats.peak_wavefront_tuples, *wavefront);
   }
 
-  // Wave-front discard: this node has consumed its children; a derived
-  // child whose last parent is done can release its Δ-set (base Δ-sets
-  // stay: OLD-state rollback reads them for the rest of the wave).
-  const NetworkNode& node = network_.nodes().at(rel);
-  std::vector<RelationId> children;
-  for (size_t edge : node.in_edges) {
-    RelationId child = network_.differentials()[edge].influent;
-    if (std::find(children.begin(), children.end(), child) ==
-        children.end()) {
-      children.push_back(child);
-    }
-  }
-  for (RelationId child : children) {
-    size_t& remaining = pending_parents->at(child);
-    if (remaining > 0) --remaining;
-    if (remaining != 0) continue;
-    const NetworkNode& child_node = network_.nodes().at(child);
-    if (child_node.is_base || result->root_deltas.contains(child)) continue;
+  // Wave-front discard: the network lists the children this node is the
+  // last parent of; their Δ-sets have no reader left.
+  for (RelationId child : node.releases) {
     auto it = wave->find(child);
     if (it != wave->end()) {
       *wavefront -= it->second.size();
@@ -477,15 +448,9 @@ Result<PropagationResult> Propagator::Propagate(
     }
   }
 
-  // Remaining parents per node, for wave-front discarding.
-  std::unordered_map<RelationId, size_t> pending_parents;
-  for (const auto& [rel, node] : network_.nodes()) {
-    pending_parents[rel] = node.parents.size();
-  }
-
-  // The pool's size is the parallelism; no pool is the serial algorithm.
-  // Workers keep private EvalCaches — pure memoization, so duplicated
-  // entries cost at most repeated work.
+  // The pool's size is the parallelism; without one, each level's nodes
+  // evaluate inline on the caller. Workers keep private EvalCaches — pure
+  // memoization, so duplicated entries cost at most repeated work.
   common::ThreadPool* pool = options_.pool;
   const size_t num_workers = pool != nullptr ? pool->num_workers() : 1;
   // Evaluation caches: by default one fresh EvalCache per worker; a caller
@@ -540,36 +505,30 @@ Result<PropagationResult> Propagator::Propagate(
   size_t wavefront = 0;  // tuples held in intermediate (derived) Δ-sets
   const auto& levels = network_.levels();
   std::vector<NodeOutput> outputs;
+  // Pool workers evaluate on behalf of the caller's request: its trace
+  // scope rides along with each task, as the per-worker caches do.
+  const obs::TraceScope scope = obs::CurrentTraceScope();
   for (size_t lvl = 1; lvl < levels.size(); ++lvl) {
     DELTAMON_OBS_SCOPED_TIMER(level_timer, "propagator.level_ns");
     const std::vector<RelationId>& level_nodes = levels[lvl];
-    if (num_workers <= 1 || level_nodes.size() <= 1) {
-      for (RelationId rel : level_nodes) {
-        NodeOutput out;
-        out.status =
-            ProcessNode(rel, lvl, wave, view_map, &(*caches)[0], &out);
-        DELTAMON_RETURN_IF_ERROR(MergeNode(rel, &out, &result, &wave,
-                                           &wavefront, &pending_parents));
-      }
+    // Level barrier: every node of the level evaluates against the same
+    // frozen wave — no node reads a same-level Δ-set — then the outputs
+    // merge in the level's fixed node order.
+    outputs.clear();
+    outputs.resize(level_nodes.size());
+    auto evaluate = [&](size_t i, size_t worker) {
+      obs::ScopedTrace trace(scope);
+      outputs[i].status = ProcessNode(level_nodes[i], lvl, wave, view_map,
+                                      &(*caches)[worker], &outputs[i]);
+    };
+    if (pool != nullptr) {
+      pool->Run(level_nodes.size(), evaluate);
     } else {
-      // Level barrier: every node of the level evaluates against the same
-      // frozen wave, then the outputs merge in the level's node order —
-      // the order the serial loop would have used.
-      outputs.clear();
-      outputs.resize(level_nodes.size());
-      // Pool workers evaluate on behalf of the caller's request: its trace
-      // scope rides along with each task, as the per-worker caches do.
-      const obs::TraceScope scope = obs::CurrentTraceScope();
-      pool->Run(level_nodes.size(), [&](size_t i, size_t worker) {
-        obs::ScopedTrace trace(scope);
-        outputs[i].status = ProcessNode(level_nodes[i], lvl, wave, view_map,
-                                        &(*caches)[worker], &outputs[i]);
-      });
-      for (size_t i = 0; i < level_nodes.size(); ++i) {
-        DELTAMON_RETURN_IF_ERROR(MergeNode(level_nodes[i], &outputs[i],
-                                           &result, &wave, &wavefront,
-                                           &pending_parents));
-      }
+      for (size_t i = 0; i < level_nodes.size(); ++i) evaluate(i, 0);
+    }
+    for (size_t i = 0; i < level_nodes.size(); ++i) {
+      DELTAMON_RETURN_IF_ERROR(
+          MergeNode(level_nodes[i], &outputs[i], &result, &wave, &wavefront));
     }
   }
 

@@ -67,6 +67,11 @@ struct PropagationResult {
     /// (0 when running without a MaterializedViewStore).
     size_t materialized_resident_tuples = 0;
 
+    /// Folds `later` — one node's share of this wave, or a later wave —
+    /// into this one: the counters sum, the larger peak is kept, and
+    /// `later`'s resident count replaces this one's.
+    void Add(const Stats& later);
+
     /// Folds this wave into the global obs registry (`propagator.*`);
     /// called by Propagator::Propagate on success. No-op when
     /// instrumentation is compiled out or disabled at run time.
@@ -87,7 +92,8 @@ struct PropagationOptions {
   /// concurrently and their outputs are merged into the wave in the level's
   /// fixed node order — making root_deltas, the TraceEntry sequence and
   /// Stats bit-identical at any worker count. Its num_workers() is the
-  /// parallelism; null (the default) is the classic serial algorithm.
+  /// parallelism; null (the default) evaluates each level's nodes inline,
+  /// then merges them the same way.
   /// Long-lived callers (RuleManager) keep one pool sized to their thread
   /// setting.
   common::ThreadPool* pool = nullptr;
@@ -131,13 +137,16 @@ struct PropagationOptions {
 ///         in the Δ-set of the node above using ∪Δ
 ///
 /// Δ-sets of intermediate nodes are discarded as soon as every parent has
-/// been processed (the "wave-front" materialization of §5); base Δ-sets
-/// stay live for the whole wave because OLD-state reconstruction by logical
-/// rollback needs them.
+/// been processed (the "wave-front" materialization of §5; the network
+/// fixes which merge releases which child); base Δ-sets stay live for the
+/// whole wave because OLD-state reconstruction by logical rollback needs
+/// them.
 ///
-/// With a multi-worker options.pool the inner loop runs data-parallel per
-/// level (see PropagationOptions and docs/parallelism.md); results are
-/// deterministic and identical to the serial mode.
+/// Each level runs in two steps: every node of the level evaluates (on
+/// options.pool's workers when there is a pool, inline otherwise), then
+/// the outputs merge in the level's fixed node order (see
+/// PropagationOptions and docs/parallelism.md); results are deterministic
+/// and identical at any worker count.
 class Propagator {
  public:
   /// `views`, when non-null, switches to PF-style evaluation: derived
@@ -164,8 +173,8 @@ class Propagator {
  private:
   /// Everything one node's evaluation produces. Workers fill NodeOutputs
   /// independently; MergeNode folds them into the wave serially, in the
-  /// level's node order, so the serial and parallel modes share one
-  /// accumulation path (and therefore one result).
+  /// level's node order, so every worker count shares one accumulation
+  /// path (and therefore one result).
   struct NodeOutput {
     Status status = Status::OK();
     DeltaSet acc;
@@ -192,12 +201,11 @@ class Propagator {
 
   /// Folds one node's output into the running wave state: trace append,
   /// stats fold, view apply, wave insert, peak accounting, and wave-front
-  /// discard of exhausted children. Serial by construction.
+  /// discard of the children the network lists under the node
+  /// (NetworkNode::releases). Serial by construction.
   Status MergeNode(RelationId rel, NodeOutput* out, PropagationResult* result,
                    std::unordered_map<RelationId, DeltaSet>* wave,
-                   size_t* wavefront,
-                   std::unordered_map<RelationId, size_t>* pending_parents)
-      const;
+                   size_t* wavefront) const;
 
   const Database& db_;
   const objectlog::DerivedRegistry& registry_;

@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "common/status.h"
 #include "common/tuple.h"
 
 namespace deltamon {
@@ -49,22 +50,16 @@ class DeltaSet {
   /// Drops from Δ+ every tuple already true in the old state, and from Δ−
   /// every tuple still true in the new state (§7.2 strict-semantics
   /// filters). `derivable_old` / `derivable_new` are membership point
-  /// queries against the monitored relation. Either may be null to skip
-  /// that side's filter (nervous semantics skips the positive filter; the
-  /// negative filter must never be skipped when deletions are propagated,
-  /// or rules under-react).
+  /// queries against the monitored relation, returning bool or
+  /// Result<bool>; the first failed query's error is returned, with the
+  /// Δ-set partly filtered. Either may be null to skip that side's filter
+  /// (nervous semantics skips the positive filter; the negative filter must
+  /// never be skipped when deletions are propagated, or rules under-react).
   template <typename OldPred, typename NewPred>
-  void FilterStrict(const OldPred* derivable_old, const NewPred* derivable_new) {
-    if (derivable_old != nullptr) {
-      for (auto it = plus_.begin(); it != plus_.end();) {
-        it = (*derivable_old)(*it) ? plus_.erase(it) : std::next(it);
-      }
-    }
-    if (derivable_new != nullptr) {
-      for (auto it = minus_.begin(); it != minus_.end();) {
-        it = (*derivable_new)(*it) ? minus_.erase(it) : std::next(it);
-      }
-    }
+  Status FilterStrict(const OldPred* derivable_old,
+                      const NewPred* derivable_new) {
+    DELTAMON_RETURN_IF_ERROR(EraseIf(plus_, derivable_old));
+    return EraseIf(minus_, derivable_new);
   }
 
   bool operator==(const DeltaSet& other) const {
@@ -75,6 +70,17 @@ class DeltaSet {
   std::string ToString() const;
 
  private:
+  template <typename Pred>
+  static Status EraseIf(TupleSet& side, const Pred* pred) {
+    if (pred == nullptr) return Status::OK();
+    for (auto it = side.begin(); it != side.end();) {
+      Result<bool> drop = (*pred)(*it);
+      if (!drop.ok()) return drop.status();
+      it = *drop ? side.erase(it) : std::next(it);
+    }
+    return Status::OK();
+  }
+
   TupleSet plus_;
   TupleSet minus_;
 };

@@ -1,6 +1,5 @@
 #include "net/executor.h"
 
-#include <chrono>
 #include <optional>
 #include <shared_mutex>
 #include <utility>
@@ -15,7 +14,10 @@ namespace deltamon::net {
 Result<amosql::QueryResult> Executor::Execute(amosql::Session& session,
                                               const std::string& source,
                                               obs::RequestRecord* record) {
-  const auto start = std::chrono::steady_clock::now();
+  // A request's latency starts when its frame was read, so it includes
+  // the queue wait; a call without a record starts the clock here.
+  [[maybe_unused]] const uint64_t start_ns =
+      record != nullptr ? record->enqueue_ns : obs::MonotonicNowNs();
   Result<amosql::QueryResult> result = [&]() -> Result<amosql::QueryResult> {
     if (record == nullptr) return amosql::ExecuteStatement(session, source);
 
@@ -75,12 +77,10 @@ Result<amosql::QueryResult> Executor::Execute(amosql::Session& session,
     record->ok = r.ok();
     return r;
   }();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
   DELTAMON_OBS_COUNT("net.statements_served", 1);
   if (!result.ok()) DELTAMON_OBS_COUNT("net.statement_errors", 1);
-  DELTAMON_OBS_RECORD(
-      "net.statement_latency_ns",
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+  DELTAMON_OBS_RECORD("net.statement_latency_ns",
+                      obs::MonotonicNowNs() - start_ns);
   return result;
 }
 

@@ -18,8 +18,10 @@ namespace deltamon::net {
 /// holds no lock, with or without the slow-statement log armed.
 ///
 /// Records net.statements_served / net.statement_errors counters and the
-/// net.statement_latency_ns histogram (queue wait included — that is what
-/// a client observes).
+/// net.statement_latency_ns histogram. With a request record, latency runs
+/// from the record's enqueue stamp — the read that completed the frame —
+/// so queue wait behind pipelined statements is included, as a client
+/// observes it; without one it starts at executor entry.
 class Executor {
  public:
   explicit Executor(Engine& engine) : engine_(engine) {}

@@ -287,6 +287,11 @@ bool Server::OnReadable(Worker& w, Conn& c) {
       if (errno == EINTR) continue;
       return false;
     }
+    // One stamp per read batch. An unpaused connection holds no complete
+    // frame from an earlier batch (ProcessFrames drains them), so every
+    // frame executed below was completed by this batch and is queued from
+    // here, behind the frames before it.
+    if (obs::kRequestTracingEnabled) c.read_ns = obs::MonotonicNowNs();
     ProcessFrames(c);
   }
   return FlushOut(w, c);
@@ -363,10 +368,12 @@ void Server::HandleFrame(Conn& c, Frame frame) {
 }
 
 void Server::ExecuteQuery(Conn& c, const std::string& text) {
-  // Mint the request's identity the moment the QUERY frame is parsed;
-  // the executor stamps the dequeue/exec phases, the flush path stamps
-  // reply_flushed. Under OBS=OFF all of this folds away (kRequestTracing-
-  // Enabled is constexpr false) and the executor sees a null record.
+  // The request is enqueued when the read that completed its frame
+  // returned (Conn::read_ns), so queue wait covers the statements
+  // pipelined ahead of it; the executor stamps the dequeue/exec phases,
+  // the flush path stamps reply_flushed. Under OBS=OFF all of this folds
+  // away (kRequestTracingEnabled is constexpr false) and the executor sees
+  // a null record.
   obs::RequestRecord record;
   const uint64_t queued_before = c.bytes_sent_total + c.out.size();
   if (obs::kRequestTracingEnabled) {
@@ -378,7 +385,7 @@ void Server::ExecuteQuery(Conn& c, const std::string& text) {
     record.context.session_id = c.conn_id;
     record.context.statement_ordinal = ++c.next_ordinal;
     record.statement = obs::StatementPreview(text);
-    record.enqueue_ns = obs::MonotonicNowNs();
+    record.enqueue_ns = c.read_ns;
   }
   Result<amosql::QueryResult> result = executor_.Execute(
       *c.session, text, obs::kRequestTracingEnabled ? &record : nullptr);

@@ -152,6 +152,10 @@ class Server {
     uint64_t conn_id = 0;           ///< process-unique, minted at accept
     uint64_t next_ordinal = 0;      ///< statements executed so far
     uint64_t bytes_sent_total = 0;  ///< reply bytes accepted by the kernel
+    /// MonotonicNowNs when the last read batch returned: the enqueue stamp
+    /// of every frame that batch completed, kept for frames still buffered
+    /// behind a backpressure pause (0 under OBS=OFF).
+    uint64_t read_ns = 0;
     std::chrono::steady_clock::time_point last_active;
     std::unique_ptr<amosql::Session> session;
     /// Lines printed by rule actions / procedures during execution; owned

@@ -1,7 +1,6 @@
 #include "objectlog/eval.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -475,31 +474,7 @@ Result<bool> Evaluator::Contains(RelationId rel, EvalState state,
 namespace {
 
 #if DELTAMON_OBS_ENABLED
-/// Charges the enclosing EvalBody step's wall time to its profile slot.
-/// Inclusive: deeper steps run inside this scope, so a literal's time
-/// covers everything its bindings triggered downstream.
-class ProfSlotTimer {
- public:
-  explicit ProfSlotTimer(obs::LiteralProfile* slot)
-      : slot_(slot),
-        start_(slot == nullptr ? std::chrono::steady_clock::time_point{}
-                               : std::chrono::steady_clock::now()) {}
-  ProfSlotTimer(const ProfSlotTimer&) = delete;
-  ProfSlotTimer& operator=(const ProfSlotTimer&) = delete;
-  ~ProfSlotTimer() {
-    if (slot_ == nullptr) return;
-    auto elapsed = std::chrono::steady_clock::now() - start_;
-    slot_->time_ns += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count());
-  }
-
- private:
-  obs::LiteralProfile* slot_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Stand-in for ProfSlotTimer in the unprofiled EvalBodyImpl
+/// Stand-in for obs::LiteralSlotTimer in the unprofiled EvalBodyImpl
 /// instantiation: same shape, no members, no clock reads.
 struct NoopSlotTimer {
   explicit NoopSlotTimer(obs::LiteralProfile*) {}
@@ -536,8 +511,8 @@ Status Evaluator::EvalBodyImpl(const Clause& clause,
 #if DELTAMON_OBS_ENABLED
   [[maybe_unused]] obs::LiteralProfile* slot = nullptr;
   if constexpr (kProfiled) slot = &prof->slots[order[step]];
-  std::conditional_t<kProfiled, ProfSlotTimer, NoopSlotTimer> slot_timer(
-      slot);
+  std::conditional_t<kProfiled, obs::LiteralSlotTimer, NoopSlotTimer>
+      slot_timer(slot);
   DELTAMON_PROF(++slot->rows_in);
 #endif
 

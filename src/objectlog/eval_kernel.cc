@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <span>
@@ -116,28 +115,6 @@ struct ColumnCopier {
       }
     }
   }
-};
-
-/// Charges a kernel step's wall time to its profile slot (inactive when no
-/// profiler is attached — no clock reads).
-class StepTimer {
- public:
-  explicit StepTimer(obs::LiteralProfile* slot) : slot_(slot) {
-    if (slot_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  StepTimer(const StepTimer&) = delete;
-  StepTimer& operator=(const StepTimer&) = delete;
-  ~StepTimer() {
-    if (slot_ == nullptr) return;
-    auto elapsed = std::chrono::steady_clock::now() - start_;
-    slot_->time_ns += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count());
-  }
-
- private:
-  obs::LiteralProfile* slot_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// Compiled unification program for one relation literal: constant
@@ -647,7 +624,7 @@ Status Evaluator::RunKernelPlan(const KernelPlan& plan, const Clause& clause,
   // Step 0: materialize the Δ side into the wave-front table.
   {
     obs::LiteralProfile* slot = slot_of(p.order[0]);
-    StepTimer timer(slot);
+    obs::LiteralSlotTimer timer(slot);
     if (slot != nullptr) ++slot->rows_in;
     const DeltaSet* delta = ctx_.DeltaFor(p.delta_relation);
     if (delta == nullptr) return Status::OK();  // no change set: empty
@@ -710,7 +687,7 @@ Status Evaluator::RunKernelPlan(const KernelPlan& plan, const Clause& clause,
   if (semijoin_step != 0 && !batch->empty()) {
     const KernelStep& s = p.steps[semijoin_step - 1];
     obs::LiteralProfile* slot = slot_of(s.slot);
-    StepTimer timer(slot);
+    obs::LiteralSlotTimer timer(slot);
     DELTAMON_RETURN_IF_ERROR(select_by_existence(
         p.semijoin_key_cols, s, p.semijoin_probe, /*keep_found=*/true,
         slot != nullptr ? &slot->probes : nullptr));
@@ -729,7 +706,7 @@ Status Evaluator::RunKernelPlan(const KernelPlan& plan, const Clause& clause,
   for (size_t k = 1; k < p.order.size() && !batch->empty(); ++k) {
     const KernelStep& s = p.steps[k - 1];
     obs::LiteralProfile* slot = slot_of(s.slot);
-    StepTimer timer(slot);
+    obs::LiteralSlotTimer timer(slot);
     const size_t rows = batch->num_rows();
     if (slot != nullptr) slot->rows_in += rows;
     next->Reset(s.out.width());

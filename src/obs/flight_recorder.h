@@ -67,7 +67,10 @@ struct RequestRecord {
   std::string statement;  ///< StatementPreview of the QUERY body
   bool ok = true;         ///< statement executed without error
   bool reply_flushed = false;
-  uint64_t enqueue_ns = 0;        ///< QUERY frame parsed
+  /// The read batch that completed the QUERY frame returned; the frame
+  /// then waits behind the statements pipelined ahead of it on its
+  /// connection (QueueWaitNs), including any backpressure pause.
+  uint64_t enqueue_ns = 0;
   uint64_t dequeue_ns = 0;        ///< executor entry (eval start)
   uint64_t exec_end_ns = 0;       ///< statement finished (eval end)
   uint64_t reply_queued_ns = 0;   ///< reply bytes appended to the out buffer

@@ -1,6 +1,7 @@
 #ifndef DELTAMON_OBS_PROFILE_H_
 #define DELTAMON_OBS_PROFILE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -57,6 +58,31 @@ struct LiteralProfile {
 
   /// Observed selectivity rows_out / bindings_tried; 0 when nothing tried.
   double Selectivity() const;
+};
+
+/// Charges a scope's wall time to a literal's profile slot. Inclusive:
+/// deeper steps run inside the scope, so a literal's time covers
+/// everything its bindings triggered downstream. Inactive — no clock
+/// reads — when `slot` is null, i.e. no profiler is attached.
+class LiteralSlotTimer {
+ public:
+  explicit LiteralSlotTimer(LiteralProfile* slot)
+      : slot_(slot),
+        start_(slot == nullptr ? std::chrono::steady_clock::time_point{}
+                               : std::chrono::steady_clock::now()) {}
+  LiteralSlotTimer(const LiteralSlotTimer&) = delete;
+  LiteralSlotTimer& operator=(const LiteralSlotTimer&) = delete;
+  ~LiteralSlotTimer() {
+    if (slot_ == nullptr) return;
+    auto elapsed = std::chrono::steady_clock::now() - start_;
+    slot_->time_ns += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+            .count());
+  }
+
+ private:
+  LiteralProfile* slot_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 /// Profile of one clause, keyed by its stable label (relation#ordinal for

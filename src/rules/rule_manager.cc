@@ -399,18 +399,7 @@ Status RuleManager::RunIncrementalRound(
   DELTAMON_ASSIGN_OR_RETURN(core::PropagationResult result,
                             propagator.Propagate(deltas));
   ++last_check_.incremental_waves;
-  last_check_.propagation.differentials_executed +=
-      result.stats.differentials_executed;
-  last_check_.propagation.differentials_skipped +=
-      result.stats.differentials_skipped;
-  last_check_.propagation.tuples_propagated += result.stats.tuples_propagated;
-  last_check_.propagation.filtered_plus += result.stats.filtered_plus;
-  last_check_.propagation.filtered_minus += result.stats.filtered_minus;
-  last_check_.propagation.peak_wavefront_tuples =
-      std::max(last_check_.propagation.peak_wavefront_tuples,
-               result.stats.peak_wavefront_tuples);
-  last_check_.propagation.materialized_resident_tuples =
-      result.stats.materialized_resident_tuples;
+  last_check_.propagation.Add(result.stats);
   for (core::TraceEntry& e : result.trace) last_trace_.push_back(e);
   for (Activation& act : activations_) {
     auto it = result.root_deltas.find(act.condition);

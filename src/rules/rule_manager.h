@@ -66,7 +66,7 @@ struct CheckStats {
   size_t rule_firings = 0;
   size_t naive_recomputations = 0;
   size_t incremental_waves = 0;
-  core::PropagationResult::Stats propagation;  // summed over waves
+  core::PropagationResult::Stats propagation;  // waves folded by Stats::Add
 
   void Reset() { *this = CheckStats{}; }
 };

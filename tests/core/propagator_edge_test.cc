@@ -4,6 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <memory>
+#include <set>
+#include <string_view>
+
+#include "bench_util/inventory.h"
+#include "common/thread_pool.h"
+#include "core/materialized_views.h"
 #include "core/network.h"
 #include "core/propagator.h"
 #include "rules/engine.h"
@@ -135,6 +145,477 @@ TEST_F(MultiRootFixture, TraceRecordsPerDifferentialCounts) {
   auto why1 = result->Explain(r1_);
   ASSERT_EQ(why1.size(), 1u);
   EXPECT_TRUE(why1[0].produces_plus);
+}
+
+/// The wave-front schedule a network fixes: every derived non-root node is
+/// listed exactly once, under its last parent in levels() order; base and
+/// root nodes are never listed.
+void ExpectDiscardSchedule(const PropagationNetwork& net) {
+  std::set<RelationId> roots;
+  for (const RootSpec& root : net.roots()) roots.insert(root.relation);
+  std::map<RelationId, RelationId> released_by;
+  std::map<RelationId, RelationId> last_parent;
+  for (const std::vector<RelationId>& level : net.levels()) {
+    for (RelationId rel : level) {
+      for (RelationId child : net.node(rel)->releases) {
+        EXPECT_TRUE(released_by.emplace(child, rel).second)
+            << "node " << child << " is released twice";
+      }
+      for (size_t edge : net.node(rel)->in_edges) {
+        last_parent[net.differentials()[edge].influent] = rel;
+      }
+    }
+  }
+  for (const auto& [rel, node] : net.nodes()) {
+    if (node.is_base || roots.contains(rel)) {
+      EXPECT_FALSE(released_by.contains(rel)) << "node " << rel;
+    } else {
+      ASSERT_TRUE(released_by.contains(rel)) << "node " << rel;
+      EXPECT_EQ(released_by.at(rel), last_parent.at(rel)) << "node " << rel;
+    }
+  }
+}
+
+TEST_F(MultiRootFixture, NetworkFixesTheDiscardSchedule) {
+  BuildOptions options;
+  options.keep = {v1_, v2_};
+  auto net = PropagationNetwork::Build(
+      {RootSpec{r1_, true, true}, RootSpec{r2_, true, false},
+       RootSpec{r1_, true, false}},
+      engine_.registry, engine_.db.catalog(), options);
+  ASSERT_TRUE(net.ok()) << net.status().ToString();
+  ExpectDiscardSchedule(*net);
+  // Levels: b0 | v1 | v2 r2 | r1. v1's last reader is r2, v2's is r1.
+  using Ids = std::vector<RelationId>;
+  EXPECT_EQ(net->node(b0_)->releases, Ids{});
+  EXPECT_EQ(net->node(v1_)->releases, Ids{});
+  EXPECT_EQ(net->node(v2_)->releases, Ids{});
+  EXPECT_EQ(net->node(r2_)->releases, Ids{v1_});
+  EXPECT_EQ(net->node(r1_)->releases, Ids{v2_});
+  // The strict flag comes from the first RootSpec naming the root.
+  EXPECT_TRUE(net->node(r1_)->strict_root);
+  EXPECT_FALSE(net->node(r2_)->strict_root);
+  EXPECT_FALSE(net->node(v1_)->strict_root);
+  EXPECT_FALSE(net->node(v2_)->strict_root);
+
+  // The node-sharing inventory network (§7.1): threshold is released by
+  // the condition, its only parent.
+  Engine inventory;
+  auto schema =
+      workload::BuildInventory(inventory, workload::InventoryConfig{});
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  BuildOptions keep_threshold;
+  keep_threshold.keep.insert(schema->threshold);
+  auto bushy = PropagationNetwork::Build(
+      {RootSpec{schema->cnd_monitor_items, true, true}}, inventory.registry,
+      inventory.db.catalog(), keep_threshold);
+  ASSERT_TRUE(bushy.ok()) << bushy.status().ToString();
+  ExpectDiscardSchedule(*bushy);
+  EXPECT_EQ(bushy->node(schema->cnd_monitor_items)->releases,
+            Ids{schema->threshold});
+  EXPECT_EQ(bushy->node(schema->threshold)->releases, Ids{});
+  EXPECT_TRUE(bushy->node(schema->cnd_monitor_items)->strict_root);
+}
+
+/// One pinned propagation run: what every wave returned, and the NodeStats
+/// tallies the run left on its network.
+struct PinRun {
+  std::string waves;  ///< sorted root Δ-sets, trace and Stats, per wave
+  std::string nodes;  ///< NodeStats in level order, cumulative_ns aside
+};
+
+std::string SortedRows(const TupleSet& rows) {
+  std::vector<Tuple> sorted(rows.begin(), rows.end());
+  std::sort(sorted.begin(), sorted.end());
+  std::string out = "{";
+  for (const Tuple& t : sorted) {
+    if (out.size() > 1) out += " ";
+    out += t.ToString();
+  }
+  return out + "}";
+}
+
+std::string RenderWave(const PropagationResult& result,
+                       const Catalog& catalog) {
+  std::map<std::string, const DeltaSet*> roots;
+  for (const auto& [rel, delta] : result.root_deltas) {
+    roots.emplace(catalog.RelationName(rel), &delta);
+  }
+  std::string out;
+  for (const auto& [name, delta] : roots) {
+    out += "  root " + name + " +" + SortedRows(delta->plus()) + " -" +
+           SortedRows(delta->minus()) + "\n";
+  }
+  for (const TraceEntry& e : result.trace) {
+    out += "  " + e.ToString(catalog) + "\n";
+  }
+  const PropagationResult::Stats& s = result.stats;
+  out += "  executed=" + std::to_string(s.differentials_executed) +
+         " skipped=" + std::to_string(s.differentials_skipped) +
+         " propagated=" + std::to_string(s.tuples_propagated) +
+         " peak=" + std::to_string(s.peak_wavefront_tuples) +
+         " filtered+=" + std::to_string(s.filtered_plus) +
+         " filtered-=" + std::to_string(s.filtered_minus) +
+         " resident=" + std::to_string(s.materialized_resident_tuples) + "\n";
+  return out;
+}
+
+std::string RenderNodeStats(const PropagationNetwork& network,
+                            const Catalog& catalog) {
+  std::string out;
+  for (const std::vector<RelationId>& level : network.levels()) {
+    for (RelationId rel : level) {
+      const NodeStats& s = network.node(rel)->stats;
+      out += catalog.RelationName(rel) +
+             " inv=" + std::to_string(s.invocations.load()) +
+             " consumed=" + std::to_string(s.tuples_consumed.load()) +
+             " plus=" + std::to_string(s.plus_produced.load()) +
+             " minus=" + std::to_string(s.minus_produced.load()) + "\n";
+    }
+  }
+  return out;
+}
+
+/// Propagates a fixed sequence of transactions twice per wave — with no
+/// pool and on four workers, each over its own copy of the network (and
+/// its own view store when `materialize`) — then commits. `waves[i]`
+/// applies the i-th transaction's updates.
+std::vector<PinRun> RunPinnedWaves(
+    Engine& engine, const std::vector<RootSpec>& roots,
+    const BuildOptions& options, bool materialize,
+    const std::vector<std::function<void()>>& waves) {
+  const Catalog& catalog = engine.db.catalog();
+  common::ThreadPool pool4(4);
+  common::ThreadPool* pools[] = {nullptr, &pool4};
+  std::vector<std::unique_ptr<PropagationNetwork>> nets;
+  std::vector<std::unique_ptr<MaterializedViewStore>> stores;
+  for (size_t i = 0; i < 2; ++i) {
+    auto net = PropagationNetwork::Build(roots, engine.registry, catalog,
+                                         options);
+    EXPECT_TRUE(net.ok()) << net.status().ToString();
+    if (!net.ok()) return {};
+    nets.push_back(std::make_unique<PropagationNetwork>(std::move(*net)));
+    for (RelationId rel : nets.back()->BaseInfluents()) {
+      engine.db.MarkMonitored(rel);
+    }
+    stores.push_back(nullptr);
+    if (materialize) {
+      stores.back() = std::make_unique<MaterializedViewStore>();
+      EXPECT_TRUE(
+          stores.back()->Initialize(*nets.back(), engine.db, engine.registry)
+              .ok());
+    }
+  }
+  std::vector<PinRun> runs(2);
+  for (size_t w = 0; w < waves.size(); ++w) {
+    waves[w]();
+    const auto deltas = engine.db.TakePendingDeltas();
+    for (size_t i = 0; i < 2; ++i) {
+      PropagationOptions popts;
+      popts.pool = pools[i];
+      Propagator prop(engine.db, engine.registry, *nets[i], stores[i].get(),
+                      popts);
+      auto result = prop.Propagate(deltas);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (!result.ok()) continue;
+      runs[i].waves += "wave " + std::to_string(w) + "\n";
+      runs[i].waves += RenderWave(*result, catalog);
+    }
+    EXPECT_TRUE(engine.db.Commit().ok());
+  }
+  for (size_t i = 0; i < 2; ++i) {
+    runs[i].nodes = RenderNodeStats(*nets[i], catalog);
+  }
+  return runs;
+}
+
+/// Both runs must reproduce the pinned transcript byte for byte. NodeStats
+/// are only kept while instrumentation is compiled in.
+void ExpectPinned(const std::vector<PinRun>& runs, std::string_view waves,
+                  [[maybe_unused]] std::string_view nodes) {
+  ASSERT_EQ(runs.size(), 2u);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE(i == 0 ? "no pool" : "4 workers");
+    EXPECT_EQ(runs[i].waves, waves);
+#if DELTAMON_OBS_ENABLED
+    EXPECT_EQ(runs[i].nodes, nodes);
+#endif
+  }
+}
+
+/// Pins the observable output of fixed wave sequences — sorted root
+/// Δ-sets, the TraceEntry sequence, every Stats field and each node's
+/// NodeStats tallies — to recorded values. ThreadDeterminismTest compares
+/// thread counts with each other; this compares against fixed values, so
+/// it also catches a change that moves every thread count the same way.
+class WavePinTest : public MultiRootFixture {
+ protected:
+  std::vector<RootSpec> BushyRoots() const {
+    return {RootSpec{r1_, true, true}, RootSpec{r2_, true, true}};
+  }
+  BuildOptions BushyOptions() const {
+    BuildOptions options;
+    options.keep = {v1_, v2_};
+    return options;
+  }
+  /// Inserts, strict-filtered re-insertions, deletions that another row
+  /// keeps derivable, an update across the v2 threshold and plain
+  /// deletions, over b0.
+  std::vector<std::function<void()>> BushyWaves() {
+    auto ins = [this](int64_t x, int64_t y) {
+      ASSERT_TRUE(engine_.db.Insert(b0_, T(x, y)).ok());
+    };
+    auto del = [this](int64_t x, int64_t y) {
+      ASSERT_TRUE(engine_.db.Delete(b0_, T(x, y)).ok());
+    };
+    return {
+        [=] { ins(1, 50); ins(2, 5); ins(3, 20); },
+        [=] { ins(1, 60); del(3, 20); ins(4, 11); },
+        [=] { del(1, 50); del(2, 5); ins(2, 15); },
+        [=] { del(1, 60); del(4, 11); ins(5, 1); },
+    };
+  }
+};
+
+constexpr char kBushyWaves[] = R"(wave 0
+  root r1 +{(1) (3)} -{}
+  root r2 +{(1) (2) (3)} -{}
+  Δ+v1/Δ+b0: 3 -> 3 tuples
+  Δ+v2/Δ+v1: 3 -> 2 tuples
+  Δ+r2/Δ+v1: 3 -> 3 tuples
+  Δ+r1/Δ+v2: 2 -> 2 tuples
+  executed=4 skipped=4 propagated=10 peak=8 filtered+=0 filtered-=0 resident=0
+wave 1
+  root r1 +{(4)} -{(3)}
+  root r2 +{(4)} -{(3)}
+  Δ+v1/Δ+b0: 2 -> 2 tuples
+  Δ-v1/Δ-b0: 1 -> 1 tuples
+  Δ+v2/Δ+v1: 2 -> 2 tuples
+  Δ-v2/Δ-v1: 1 -> 1 tuples
+  Δ+r2/Δ+v1: 2 -> 2 tuples
+  Δ-r2/Δ-v1: 1 -> 1 tuples
+  Δ+r1/Δ+v2: 2 -> 2 tuples
+  Δ-r1/Δ-v2: 1 -> 1 tuples
+  executed=8 skipped=0 propagated=12 peak=8 filtered+=2 filtered-=0 resident=0
+wave 2
+  root r1 +{(2)} -{}
+  root r2 +{} -{}
+  Δ+v1/Δ+b0: 1 -> 1 tuples
+  Δ-v1/Δ-b0: 2 -> 2 tuples
+  Δ+v2/Δ+v1: 1 -> 1 tuples
+  Δ-v2/Δ-v1: 2 -> 1 tuples
+  Δ+r2/Δ+v1: 1 -> 1 tuples
+  Δ-r2/Δ-v1: 2 -> 2 tuples
+  Δ+r1/Δ+v2: 1 -> 1 tuples
+  executed=7 skipped=1 propagated=9 peak=4 filtered+=1 filtered-=3 resident=0
+wave 3
+  root r1 +{} -{(1) (4)}
+  root r2 +{(5)} -{(1) (4)}
+  Δ+v1/Δ+b0: 1 -> 1 tuples
+  Δ-v1/Δ-b0: 2 -> 2 tuples
+  Δ+v2/Δ+v1: 1 -> 0 tuples
+  Δ-v2/Δ-v1: 2 -> 2 tuples
+  Δ+r2/Δ+v1: 1 -> 1 tuples
+  Δ-r2/Δ-v1: 2 -> 2 tuples
+  Δ-r1/Δ-v2: 2 -> 2 tuples
+  executed=7 skipped=1 propagated=10 peak=8 filtered+=0 filtered-=0 resident=0
+)";
+constexpr char kBushyNodes[] = R"(b0 inv=0 consumed=0 plus=0 minus=0
+v1 inv=4 consumed=12 plus=7 minus=5
+v2 inv=4 consumed=12 plus=5 minus=3
+r2 inv=4 consumed=12 plus=5 minus=3
+r1 inv=4 consumed=8 plus=4 minus=3
+)";
+
+TEST_F(WavePinTest, BushyNetwork) {
+  ExpectPinned(
+      RunPinnedWaves(engine_, BushyRoots(), BushyOptions(), false,
+                     BushyWaves()),
+      kBushyWaves, kBushyNodes);
+}
+
+constexpr char kBushyViewsWaves[] = R"(wave 0
+  root r1 +{(1) (3)} -{}
+  root r2 +{(1) (2) (3)} -{}
+  Δ+v1/Δ+b0: 3 -> 3 tuples
+  Δ+v2/Δ+v1: 3 -> 2 tuples
+  Δ+r2/Δ+v1: 3 -> 3 tuples
+  Δ+r1/Δ+v2: 2 -> 2 tuples
+  executed=4 skipped=4 propagated=10 peak=8 filtered+=0 filtered-=0 resident=10
+wave 1
+  root r1 +{(4)} -{(3)}
+  root r2 +{(4)} -{(3)}
+  Δ+v1/Δ+b0: 2 -> 2 tuples
+  Δ-v1/Δ-b0: 1 -> 1 tuples
+  Δ+v2/Δ+v1: 2 -> 2 tuples
+  Δ-v2/Δ-v1: 1 -> 1 tuples
+  Δ+r2/Δ+v1: 2 -> 2 tuples
+  Δ-r2/Δ-v1: 1 -> 1 tuples
+  Δ+r1/Δ+v2: 1 -> 1 tuples
+  Δ-r1/Δ-v2: 1 -> 1 tuples
+  executed=8 skipped=0 propagated=11 peak=7 filtered+=2 filtered-=0 resident=11
+wave 2
+  root r1 +{(2)} -{}
+  root r2 +{} -{}
+  Δ+v1/Δ+b0: 1 -> 1 tuples
+  Δ-v1/Δ-b0: 2 -> 2 tuples
+  Δ+v2/Δ+v1: 1 -> 1 tuples
+  Δ-v2/Δ-v1: 2 -> 1 tuples
+  Δ+r2/Δ+v1: 1 -> 1 tuples
+  Δ-r2/Δ-v1: 2 -> 2 tuples
+  Δ+r1/Δ+v2: 1 -> 1 tuples
+  executed=7 skipped=1 propagated=9 peak=4 filtered+=1 filtered-=3 resident=12
+wave 3
+  root r1 +{} -{(1) (4)}
+  root r2 +{(5)} -{(1) (4)}
+  Δ+v1/Δ+b0: 1 -> 1 tuples
+  Δ-v1/Δ-b0: 2 -> 2 tuples
+  Δ+v2/Δ+v1: 1 -> 0 tuples
+  Δ-v2/Δ-v1: 2 -> 2 tuples
+  Δ+r2/Δ+v1: 1 -> 1 tuples
+  Δ-r2/Δ-v1: 2 -> 2 tuples
+  Δ-r1/Δ-v2: 2 -> 2 tuples
+  executed=7 skipped=1 propagated=10 peak=8 filtered+=0 filtered-=0 resident=6
+)";
+constexpr char kBushyViewsNodes[] = R"(b0 inv=0 consumed=0 plus=0 minus=0
+v1 inv=4 consumed=12 plus=7 minus=5
+v2 inv=4 consumed=12 plus=4 minus=3
+r2 inv=4 consumed=12 plus=5 minus=3
+r1 inv=4 consumed=7 plus=4 minus=3
+)";
+
+TEST_F(WavePinTest, BushyNetworkWithMaterializedViews) {
+  ExpectPinned(
+      RunPinnedWaves(engine_, BushyRoots(), BushyOptions(), true,
+                     BushyWaves()),
+      kBushyViewsWaves, kBushyViewsNodes);
+}
+
+constexpr char kAggregateWaves[] = R"(wave 0
+  root hot +{(1) (2)} -{}
+  Δ+top/Δ+src: 3 -> 2 tuples
+  Δ+hot/Δ+top: 2 -> 2 tuples
+  executed=2 skipped=1 propagated=4 peak=4 filtered+=0 filtered-=0 resident=0
+wave 1
+  root hot +{} -{(2)}
+  Δ+top/Δ+src: 3 -> 4 tuples
+  Δ+hot/Δ+top: 2 -> 1 tuples
+  Δ-hot/Δ-top: 2 -> 2 tuples
+  executed=3 skipped=0 propagated=7 peak=5 filtered+=1 filtered-=1 resident=0
+wave 2
+  root hot +{(3)} -{}
+  Δ+top/Δ+src: 2 -> 4 tuples
+  Δ+hot/Δ+top: 2 -> 2 tuples
+  Δ-hot/Δ-top: 2 -> 1 tuples
+  executed=3 skipped=0 propagated=7 peak=5 filtered+=1 filtered-=1 resident=0
+wave 3
+  root hot +{} -{(1) (3)}
+  Δ+top/Δ+src: 3 -> 3 tuples
+  Δ+hot/Δ+top: 1 -> 0 tuples
+  Δ-hot/Δ-top: 2 -> 2 tuples
+  executed=3 skipped=0 propagated=5 peak=5 filtered+=0 filtered-=0 resident=0
+)";
+constexpr char kAggregateNodes[] = R"(src inv=0 consumed=0 plus=0 minus=0
+top inv=4 consumed=11 plus=7 minus=6
+hot inv=4 consumed=13 plus=3 minus=3
+)";
+
+TEST_F(WavePinTest, AggregateNode) {
+  // top(k, m) = max v over src(k, v); hot(k) <- top(k, m), m > 10.
+  Catalog& cat = engine_.db.catalog();
+  RelationId src = *cat.CreateStoredFunction(
+      "src", FunctionSignature{{IntCol()}, {IntCol()}});
+  RelationId top = Derived("top", 2);
+  RelationId hot = Derived("hot", 1);
+  objectlog::AggregateDef def;
+  def.source = src;
+  def.group_by = {0};
+  def.value_column = 1;
+  def.func = objectlog::AggregateDef::Func::kMax;
+  ASSERT_TRUE(engine_.registry.DefineAggregate(top, std::move(def), cat).ok());
+  Define(hot, {Term::Var(0)},
+         {Literal::Relation(top, {Term::Var(0), Term::Var(1)}),
+          Literal::Compare(CompareOp::kGt, Term::Var(1),
+                           Term::Const(Value(10)))},
+         2);
+  auto ins = [&](int64_t k, int64_t v) {
+    ASSERT_TRUE(engine_.db.Insert(src, T(k, v)).ok());
+  };
+  auto del = [&](int64_t k, int64_t v) {
+    ASSERT_TRUE(engine_.db.Delete(src, T(k, v)).ok());
+  };
+  ExpectPinned(
+      RunPinnedWaves(engine_, {RootSpec{hot, true, true}}, {}, false,
+                     {
+                         [&] { ins(1, 5); ins(1, 20); ins(2, 30); },
+                         [&] { ins(1, 25); del(2, 30); ins(3, 8); },
+                         [&] { del(1, 25); ins(3, 12); },
+                         [&] { del(1, 20); del(1, 5); del(3, 12); },
+                     }),
+      kAggregateWaves, kAggregateNodes);
+}
+
+constexpr char kClosureWaves[] = R"(wave 0
+  root tc +{(1, 2) (1, 3) (1, 4) (2, 3) (2, 4) (3, 4)} -{}
+  Δ+tc/Δ+edge: 3 -> 3 tuples
+  Δ+tc/Δ+edge: 3 -> 3 tuples
+  Δ+tc/Δ+tc: 6 -> 3 tuples
+  executed=3 skipped=3 propagated=9 peak=6 filtered+=0 filtered-=0 resident=0
+wave 1
+  root tc +{(1, 5) (2, 5) (3, 5) (4, 5) (10, 11)} -{}
+  Δ+tc/Δ+edge: 3 -> 3 tuples
+  Δ+tc/Δ+edge: 3 -> 2 tuples
+  Δ+tc/Δ+tc: 5 -> 1 tuples
+  Δ+tc/Δ+tc: 1 -> 2 tuples
+  Δ+tc/Δ+tc: 1 -> 1 tuples
+  executed=5 skipped=5 propagated=9 peak=5 filtered+=2 filtered-=0 resident=0
+wave 2
+  root tc +{} -{(2, 3) (2, 4) (2, 5)}
+  Δ-tc/Δ-edge: 1 -> 1 tuples
+  Δ-tc/Δ-edge: 1 -> 2 tuples
+  Δ-tc/Δ-tc: 3 -> 3 tuples
+  executed=3 skipped=3 propagated=6 peak=3 filtered+=0 filtered-=3 resident=0
+wave 3
+  root tc +{(10, 1) (10, 2) (11, 1) (11, 2)} -{(1, 3) (1, 4) (1, 5)}
+  Δ+tc/Δ+edge: 1 -> 1 tuples
+  Δ-tc/Δ-edge: 1 -> 1 tuples
+  Δ+tc/Δ+edge: 1 -> 1 tuples
+  Δ-tc/Δ-edge: 1 -> 2 tuples
+  Δ+tc/Δ+tc: 2 -> 2 tuples
+  Δ-tc/Δ-tc: 3 -> 0 tuples
+  Δ+tc/Δ+tc: 2 -> 0 tuples
+  executed=7 skipped=1 propagated=7 peak=7 filtered+=0 filtered-=0 resident=0
+)";
+constexpr char kClosureNodes[] = R"(edge inv=0 consumed=0 plus=0 minus=0
+tc inv=4 consumed=41 plus=15 minus=6
+)";
+
+TEST_F(WavePinTest, TransitiveClosureWithDeletion) {
+  // tc(x, y) <- edge(x, y)  |  tc(x, y) <- edge(x, z), tc(z, y).
+  RelationId edge = *engine_.db.catalog().CreateStoredFunction(
+      "edge", FunctionSignature{{IntCol()}, {IntCol()}});
+  RelationId tc = Derived("tc", 2);
+  Define(tc, {Term::Var(0), Term::Var(1)},
+         {Literal::Relation(edge, {Term::Var(0), Term::Var(1)})}, 2);
+  Define(tc, {Term::Var(0), Term::Var(2)},
+         {Literal::Relation(edge, {Term::Var(0), Term::Var(1)}),
+          Literal::Relation(tc, {Term::Var(1), Term::Var(2)})},
+         3);
+  auto ins = [&](int64_t x, int64_t y) {
+    ASSERT_TRUE(engine_.db.Insert(edge, T(x, y)).ok());
+  };
+  auto del = [&](int64_t x, int64_t y) {
+    ASSERT_TRUE(engine_.db.Delete(edge, T(x, y)).ok());
+  };
+  ExpectPinned(
+      RunPinnedWaves(engine_, {RootSpec{tc, true, true}}, {}, false,
+                     {
+                         [&] { ins(1, 2); ins(2, 3); ins(3, 4); },
+                         [&] { ins(4, 5); ins(10, 11); ins(1, 3); },
+                         [&] { del(2, 3); },
+                         [&] { del(1, 3); ins(11, 1); },
+                     }),
+      kClosureWaves, kClosureNodes);
 }
 
 /// Union condition: u(x) <- a(x)  |  u(x) <- b(x) — the §7.2 union checks.

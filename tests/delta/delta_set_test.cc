@@ -153,6 +153,17 @@ TEST(DeltaSetStrictFilterTest, NullPredicatesSkipSides) {
   EXPECT_EQ(d, DeltaSet({T(1)}, {}));
 }
 
+TEST(DeltaSetStrictFilterTest, FailingPredicateReturnsItsError) {
+  DeltaSet d({T(1)}, {T(3)});
+  auto keep = [](const Tuple&) { return false; };
+  auto fails = [](const Tuple&) -> Result<bool> {
+    return Status::Internal("point query failed");
+  };
+  EXPECT_EQ(d.FilterStrict(&keep, &fails),
+            Status::Internal("point query failed"));
+  EXPECT_EQ(d.plus(), TupleSet{T(1)});
+}
+
 // --- Property tests over random event sequences --------------------------
 
 class DeltaPropertyTest : public ::testing::TestWithParam<uint32_t> {};

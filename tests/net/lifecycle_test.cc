@@ -8,13 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "net/client.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"  // DELTAMON_OBS_ENABLED
 #include "rules/engine.h"
 
@@ -443,6 +446,72 @@ TEST_F(ServerFixture, BackpressurePausesWithoutLosingReplies) {
   } else {
     EXPECT_EQ(last.find("net."), std::string::npos) << last;
   }
+  server_->Stop();
+}
+
+TEST_F(ServerFixture, PipelinedFramesRecordTheirQueueWait) {
+  // Frames that arrive together are enqueued when the read that completed
+  // them returns, so each one's queue wait covers the statements executed
+  // ahead of it, and its statement latency includes that wait.
+  if (!obs::kRequestTracingEnabled) {
+    GTEST_SKIP() << "request tracing is compiled out";
+  }
+  ServerOptions options;
+  options.enable_admin = false;
+  StartServer(options);
+
+  Result<RawConn> conn = RawConn::Open(server_->port());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn->Handshake().ok());
+  const std::string statement = "rollback;";
+  constexpr size_t kQueries = 50;
+  std::string wire;
+  for (size_t i = 0; i < kQueries; ++i) {
+    AppendFrame(&wire, FrameType::kQuery, statement);
+  }
+  const obs::MetricsSnapshot before = obs::Registry::Global().Snapshot();
+  ASSERT_TRUE(conn->SendBytes(wire).ok());
+  for (size_t i = 0; i < kQueries; ++i) {
+    Result<Frame> frame = conn->ReadFrame();
+    ASSERT_TRUE(frame.ok()) << "reply " << i << ": "
+                            << frame.status().ToString();
+    ASSERT_EQ(frame->type, FrameType::kOk) << frame->body;
+  }
+  const obs::MetricsSnapshot batch =
+      obs::Registry::Global().Snapshot().DiffSince(before);
+
+  // Records land when their reply flush completes, which races the reads
+  // above; this connection is the newest one carrying the statement.
+  std::vector<obs::RequestRecord> records;
+  for (int attempt = 0; attempt < 200 && records.size() < kQueries;
+       ++attempt) {
+    if (attempt > 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    records.clear();
+    uint64_t newest = 0;
+    for (obs::RequestRecord& r : obs::GlobalRequestRecorder().Snapshot()) {
+      if (r.statement != statement) continue;
+      if (r.context.connection_id > newest) {
+        newest = r.context.connection_id;
+        records.clear();
+      }
+      if (r.context.connection_id == newest) records.push_back(std::move(r));
+    }
+  }
+  ASSERT_EQ(records.size(), kQueries);
+  uint64_t max_wait = 0;
+  uint64_t min_exec = UINT64_MAX;
+  for (const obs::RequestRecord& r : records) {
+    max_wait = std::max(max_wait, r.QueueWaitNs());
+    min_exec = std::min(min_exec, r.ExecNs());
+  }
+  EXPECT_GE(max_wait, min_exec)
+      << "the last frames must wait for the statements ahead of them";
+
+  ASSERT_TRUE(batch.histograms.contains("net.statement_latency_ns"));
+  ASSERT_TRUE(batch.histograms.contains("net.queue_wait_ns"));
+  EXPECT_GE(batch.histograms.at("net.statement_latency_ns").max,
+            batch.histograms.at("net.queue_wait_ns").max)
+      << "statement latency must include the queue wait";
   server_->Stop();
 }
 
