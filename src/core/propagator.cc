@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_set>
 
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
@@ -458,49 +457,27 @@ Result<PropagationResult> Propagator::Propagate(
   // indexed recursive-fixpoint materializations survive when nothing they
   // were computed from changed. The drop predicate is conservative: kOld
   // extents always go (their logical rollback read this wave's Δ-sets),
-  // kNew extents go when the relation's dependency closure touches a
-  // changed base relation — or a foreign function, whose extent may drift
-  // between waves without a recorded delta.
+  // kNew extents go when the relation or its reach holds a base relation
+  // changed in this wave — or a foreign function, whose extent may drift
+  // between waves without a recorded delta. Fresh caches hold nothing to
+  // drop.
   std::vector<objectlog::EvalCache> local_caches;
   std::vector<objectlog::EvalCache>* caches = options_.caches;
   if (caches == nullptr || caches->size() < num_workers) {
     local_caches.resize(num_workers);
     caches = &local_caches;
-  } else {
-    std::unordered_set<RelationId> changed;
-    for (const auto& [rel, delta] : base_deltas) {
-      if (!delta.empty()) changed.insert(rel);
-    }
-    auto inputs_changed = [&](RelationId rel) {
-      std::unordered_set<RelationId> visited;
-      std::vector<RelationId> frontier{rel};
-      while (!frontier.empty()) {
-        RelationId cur = frontier.back();
-        frontier.pop_back();
-        if (!visited.insert(cur).second) continue;
-        if (changed.contains(cur)) return true;
-        if (registry_.GetForeign(cur) != nullptr) return true;
-        if (const objectlog::AggregateDef* agg =
-                registry_.GetAggregate(cur)) {
-          frontier.push_back(agg->source);
-          continue;
-        }
-        if (const std::vector<objectlog::Clause>* clauses =
-                registry_.GetClauses(cur)) {
-          for (RelationId dep :
-               objectlog::DerivedRegistry::DirectDependencies(*clauses)) {
-            frontier.push_back(dep);
-          }
-        }
-      }
-      return false;
-    };
-    for (objectlog::EvalCache& cache : *caches) {
-      cache.BeginWave([&](RelationId rel, objectlog::EvalState state) {
-        return state == objectlog::EvalState::kOld || inputs_changed(rel);
-      });
-    }
   }
+  auto input_changed = [&](RelationId rel) {
+    auto it = base_deltas.find(rel);
+    return (it != base_deltas.end() && !it->second.empty()) ||
+           registry_.GetForeign(rel) != nullptr;
+  };
+  auto drop = [&](RelationId rel, objectlog::EvalState state) {
+    const std::vector<RelationId>& reach = registry_.Reach(rel);
+    return state == objectlog::EvalState::kOld || input_changed(rel) ||
+           std::any_of(reach.begin(), reach.end(), input_changed);
+  };
+  for (objectlog::EvalCache& cache : *caches) cache.BeginWave(drop);
 
   size_t wavefront = 0;  // tuples held in intermediate (derived) Δ-sets
   const auto& levels = network_.levels();

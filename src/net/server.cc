@@ -221,9 +221,11 @@ void Server::RegisterPending(Worker& w) {
       continue;
     }
     w.conns.emplace(fd, std::move(conn));
-    DELTAMON_OBS_GAUGE_SET(
-        "net.connections_active",
-        active_conns_.fetch_add(1, std::memory_order_relaxed) + 1);
+    // Counted outside the gauge macro: its argument is not evaluated under
+    // OBS=OFF or while observability is disabled at run time.
+    [[maybe_unused]] const int64_t active =
+        active_conns_.fetch_add(1, std::memory_order_relaxed) + 1;
+    DELTAMON_OBS_GAUGE_SET("net.connections_active", active);
   }
 }
 
@@ -502,9 +504,9 @@ void Server::CloseConn(Worker& w, int fd) {
     retired_sessions_.push_back(std::move(it->second->session));
   }
   w.conns.erase(it);
-  DELTAMON_OBS_GAUGE_SET(
-      "net.connections_active",
-      active_conns_.fetch_sub(1, std::memory_order_relaxed) - 1);
+  [[maybe_unused]] const int64_t active =
+      active_conns_.fetch_sub(1, std::memory_order_relaxed) - 1;
+  DELTAMON_OBS_GAUGE_SET("net.connections_active", active);
 }
 
 void Server::SweepIdle(Worker& w) {

@@ -452,25 +452,6 @@ Status Evaluator::ScanRelation(RelationId rel, EvalState state,
   return Status::OK();
 }
 
-Result<bool> Evaluator::Contains(RelationId rel, EvalState state,
-                                 const Tuple& t) {
-  const BaseRelation* stored = db_.catalog().GetBaseRelation(rel);
-  const BaseRelation* base = stored;
-  if (base == nullptr) base = ctx_.ViewFor(rel);
-  if (base != nullptr) {
-    if (state == EvalState::kNew && stored != nullptr && ctx_.txn != nullptr) {
-      ctx_.txn->RecordPointRead(rel, t);
-    }
-    return ReadView(rel, state, stored != nullptr)
-        .Contains(t, [base](const Tuple& u) { return base->Contains(u); });
-  }
-  // Derived: use the memoized extent when available, otherwise run a point
-  // query without materializing.
-  TupleSet* extent = cache_->Find(rel, state);
-  if (extent != nullptr) return extent->contains(t);
-  return Derivable(rel, state, t);
-}
-
 namespace {
 
 #if DELTAMON_OBS_ENABLED
@@ -837,9 +818,14 @@ Status Evaluator::Evaluate(RelationId rel, EvalState state, TupleSet* out) {
 
 Result<bool> Evaluator::Derivable(RelationId rel, EvalState state,
                                   const Tuple& t) {
-  if (db_.catalog().GetBaseRelation(rel) != nullptr ||
-      ctx_.ViewFor(rel) != nullptr) {
-    return Contains(rel, state, t);
+  const BaseRelation* stored = db_.catalog().GetBaseRelation(rel);
+  const BaseRelation* base = stored != nullptr ? stored : ctx_.ViewFor(rel);
+  if (base != nullptr) {
+    if (state == EvalState::kNew && stored != nullptr && ctx_.txn != nullptr) {
+      ctx_.txn->RecordPointRead(rel, t);
+    }
+    return ReadView(rel, state, stored != nullptr)
+        .Contains(t, [base](const Tuple& u) { return base->Contains(u); });
   }
   const ScanPattern pattern(t.values().begin(), t.values().end());
   if (registry_.GetAggregate(rel) != nullptr ||
@@ -878,34 +864,16 @@ Result<bool> Evaluator::Derivable(RelationId rel, EvalState state,
 bool Evaluator::CacheRetainSafe(RelationId rel) const {
   // Transactional reads see the snapshot's private overlay — never shared.
   if (ctx_.txn != nullptr) return false;
-  // Walk the dependency closure of `rel`; an extent whose derivation read
-  // the node-local overlay Δ or the hidden view would leak per-node state
-  // into a cache shared across waves (and, via PropagationOptions::caches,
-  // across Propagate calls).
-  bool overlay_active =
+  // An extent whose derivation read the node-local overlay Δ or the hidden
+  // view would leak per-node state into a cache shared across waves (and,
+  // via PropagationOptions::caches, across Propagate calls).
+  const bool overlay_active =
       ctx_.overlay_delta != nullptr && ctx_.overlay_rel != kInvalidRelationId;
-  if (!overlay_active && ctx_.hidden_view == kInvalidRelationId) return true;
-  std::unordered_set<RelationId> visited;
-  std::vector<RelationId> frontier{rel};
-  while (!frontier.empty()) {
-    RelationId cur = frontier.back();
-    frontier.pop_back();
-    if (!visited.insert(cur).second) continue;
-    if ((overlay_active && cur == ctx_.overlay_rel) ||
-        cur == ctx_.hidden_view) {
-      return false;
-    }
-    if (const AggregateDef* agg = registry_.GetAggregate(cur)) {
-      frontier.push_back(agg->source);
-      continue;
-    }
-    if (const std::vector<Clause>* clauses = registry_.GetClauses(cur)) {
-      for (RelationId dep : DerivedRegistry::DirectDependencies(*clauses)) {
-        frontier.push_back(dep);
-      }
-    }
-  }
-  return true;
+  auto shadowed = [&](RelationId r) {
+    return (overlay_active && r == ctx_.overlay_rel) || r == ctx_.hidden_view;
+  };
+  const std::vector<RelationId>& reach = registry_.Reach(rel);
+  return !shadowed(rel) && std::none_of(reach.begin(), reach.end(), shadowed);
 }
 
 Result<const BaseRelation*> Evaluator::FixpointMaterialize(RelationId rel,

@@ -379,9 +379,6 @@ class Evaluator {
   Result<const BaseRelation*> FixpointMaterialize(RelationId rel,
                                                   EvalState state);
 
-  /// Membership of `t` in `rel`'s extent in `state`.
-  Result<bool> Contains(RelationId rel, EvalState state, const Tuple& t);
-
   Result<Value> TermValue(const Term& term, const Env& env) const;
 
   /// Batch kernel executor (eval_kernel.cc): evaluates `clause` set-at-a-
@@ -392,9 +389,10 @@ class Evaluator {
                        TupleSet* out, Derivations* derivations);
 
   /// True when a materialized extent of `rel` depends only on shared state:
-  /// no transaction snapshot, and no relation in its dependency closure is
-  /// shadowed by this context's overlay or hidden view. Such extents may be
-  /// retained in the cache across waves (EvalCache::BeginWave).
+  /// no transaction snapshot, and neither `rel` nor its reach
+  /// (DerivedRegistry::Reach) is shadowed by this context's overlay or
+  /// hidden view. Such extents may be retained in the cache across waves
+  /// (EvalCache::BeginWave).
   bool CacheRetainSafe(RelationId rel) const;
 
   const Database& db_;

@@ -1,5 +1,8 @@
 #include "objectlog/registry.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace deltamon::objectlog {
 
 namespace {
@@ -43,7 +46,9 @@ Status DerivedRegistry::Define(RelationId rel, Clause clause,
     clause.profile_label = catalog.RelationName(rel) + "#" +
                            std::to_string(clauses_[rel].size());
   }
-  clauses_[rel].push_back(std::move(clause));
+  std::vector<Clause>& defs = clauses_[rel];
+  defs.push_back(std::move(clause));
+  AddEdges(rel, DirectDependencies(defs));
   return Status::OK();
 }
 
@@ -97,6 +102,7 @@ Status DerivedRegistry::DefineAggregate(RelationId rel, AggregateDef def,
         "arity " +
         std::to_string(sig->arity()));
   }
+  AddEdges(rel, {def.source});
   aggregates_.emplace(rel, std::move(def));
   return Status::OK();
 }
@@ -126,48 +132,39 @@ const ForeignImpl* DerivedRegistry::GetForeign(RelationId rel) const {
   return it == foreign_.end() ? nullptr : &it->second;
 }
 
-bool DerivedRegistry::FindCycle(RelationId rel, RelationId target,
-                                std::unordered_set<RelationId>& visited) const {
-  if (!visited.insert(rel).second) return false;
-  auto reaches = [&](RelationId next) {
-    return next == target || FindCycle(next, target, visited);
-  };
-  const std::vector<Clause>* defs = GetClauses(rel);
-  if (defs != nullptr) {
-    for (const Clause& clause : *defs) {
-      for (const Literal& lit : clause.body) {
-        if (lit.kind == Literal::Kind::kRelation && reaches(lit.relation)) {
-          return true;
-        }
-      }
-    }
-  }
-  const AggregateDef* agg = GetAggregate(rel);
-  if (agg != nullptr && reaches(agg->source)) return true;
-  return false;
+bool DerivedRegistry::IsRecursive(RelationId rel) const {
+  const std::vector<RelationId>& reach = Reach(rel);
+  return std::binary_search(reach.begin(), reach.end(), rel);
 }
 
-bool DerivedRegistry::IsRecursive(RelationId rel) const {
-  if (!clauses_.contains(rel) && !aggregates_.contains(rel)) return false;
-  std::unordered_set<RelationId> visited;
-  // Does rel reach itself? (visited guards against unrelated cycles.)
-  visited.erase(rel);
-  const std::vector<Clause>* defs = GetClauses(rel);
-  if (defs != nullptr) {
-    for (const Clause& clause : *defs) {
-      for (const Literal& lit : clause.body) {
-        if (lit.kind != Literal::Kind::kRelation) continue;
-        if (lit.relation == rel) return true;
-        if (FindCycle(lit.relation, rel, visited)) return true;
-      }
+const std::vector<RelationId>& DerivedRegistry::Reach(RelationId rel) const {
+  static const std::vector<RelationId> kNone;
+  auto it = reach_.find(rel);
+  return it == reach_.end() ? kNone : it->second;
+}
+
+void DerivedRegistry::AddEdges(RelationId rel,
+                               const std::vector<RelationId>& targets) {
+  std::vector<RelationId> added = targets;
+  for (RelationId target : targets) {
+    const std::vector<RelationId>& further = Reach(target);
+    added.insert(added.end(), further.begin(), further.end());
+  }
+  std::sort(added.begin(), added.end());
+  added.erase(std::unique(added.begin(), added.end()), added.end());
+  // Only `rel` and the relations already reaching it reach more now; a
+  // cycle this closes puts `rel` in its own reach.
+  reach_.try_emplace(rel);
+  for (auto& [from, reach] : reach_) {
+    if (from != rel && !std::binary_search(reach.begin(), reach.end(), rel)) {
+      continue;
     }
+    std::vector<RelationId> merged;
+    merged.reserve(reach.size() + added.size());
+    std::set_union(reach.begin(), reach.end(), added.begin(), added.end(),
+                   std::back_inserter(merged));
+    reach = std::move(merged);
   }
-  const AggregateDef* agg = GetAggregate(rel);
-  if (agg != nullptr &&
-      (agg->source == rel || FindCycle(agg->source, rel, visited))) {
-    return true;
-  }
-  return false;
 }
 
 Result<std::vector<Clause>> DerivedRegistry::Expand(

@@ -84,11 +84,20 @@ class DerivedRegistry {
   const ForeignImpl* GetForeign(RelationId rel) const;
 
   /// Whether `rel` participates in a definition cycle (through clauses or
-  /// aggregate sources). Recursive relations are evaluated by fixpoint
-  /// iteration and are never expanded (paper §5 footnote: the algorithm
-  /// extends to linear recursion "by revisiting nodes below and using
-  /// fixed point techniques").
+  /// aggregate sources), i.e. is in its own Reach: a lookup, because the
+  /// registry computes reach when a definition changes. Recursive relations
+  /// are evaluated by fixpoint iteration and are never expanded (paper §5
+  /// footnote: the algorithm extends to linear recursion "by revisiting
+  /// nodes below and using fixed point techniques").
   bool IsRecursive(RelationId rel) const;
+
+  /// `rel`'s reach: every relation reachable through the relation literals
+  /// of its clauses, negated or not, and through an aggregate's source,
+  /// sorted ascending. Empty for stored, foreign and undefined relations.
+  /// Define and DefineAggregate keep it current; no API removes a
+  /// definition, so a reach only grows. They run under the exclusive engine
+  /// gate (or before any wave), so concurrent readers see a fixed graph.
+  const std::vector<RelationId>& Reach(RelationId rel) const;
 
   bool IsDefined(RelationId rel) const { return clauses_.contains(rel); }
   /// Null if `rel` has no clauses.
@@ -108,15 +117,17 @@ class DerivedRegistry {
       const std::vector<Clause>& clauses);
 
  private:
-  /// DFS cycle detection for IsRecursive.
-  bool FindCycle(RelationId rel, RelationId target,
-                 std::unordered_set<RelationId>& visited) const;
+  /// Adds the edges `rel` -> `targets` to the definition graph: what they
+  /// reach joins the reach of `rel` and of every relation that reaches it.
+  void AddEdges(RelationId rel, const std::vector<RelationId>& targets);
   Result<std::vector<Clause>> ExpandClause(
       const Clause& clause, const std::unordered_set<RelationId>& keep) const;
 
   std::unordered_map<RelationId, std::vector<Clause>> clauses_;
   std::unordered_map<RelationId, AggregateDef> aggregates_;
   std::unordered_map<RelationId, ForeignImpl> foreign_;
+  /// Keyed by every relation with a definition.
+  std::unordered_map<RelationId, std::vector<RelationId>> reach_;
 };
 
 }  // namespace deltamon::objectlog

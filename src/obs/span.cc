@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <unordered_map>
 
+#include "obs/flight_recorder.h"
 #include "obs/report.h"
 
 namespace deltamon::obs {
@@ -27,13 +27,6 @@ int64_t ThreadIndex() {
                                                    std::memory_order_relaxed);
   }
   return t_thread_index;
-}
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 constexpr const char* kSpanIdKey = "span_id";
@@ -59,12 +52,12 @@ Span::Span(const char* category, std::string_view name) {
   trace_id_ = scope.trace_id;
   category_ = category;
   name_ = name;
-  start_ns_ = NowNs();
+  start_ns_ = MonotonicNowNs();
 }
 
 Span::~Span() {
   if (sink_ == nullptr) return;
-  uint64_t end_ns = NowNs();
+  uint64_t end_ns = MonotonicNowNs();
   t_current_span = parent_;
   TraceEvent event;
   event.category = category_;

@@ -29,39 +29,6 @@ void SubstituteVar(Clause& clause, int var, const Value& value) {
   }
 }
 
-/// Collects the base relations reachable from `rel` through derived
-/// definitions — the influents whose updates must be monitored.
-Status CollectBaseInfluents(RelationId rel,
-                            const objectlog::DerivedRegistry& registry,
-                            const Catalog& catalog,
-                            std::unordered_set<RelationId>& seen,
-                            std::vector<RelationId>& out) {
-  if (!seen.insert(rel).second) return Status::OK();
-  if (!catalog.IsDerived(rel)) {
-    out.push_back(rel);  // stored or foreign: a monitored leaf
-    return Status::OK();
-  }
-  const std::vector<Clause>* clauses = registry.GetClauses(rel);
-  if (clauses == nullptr) {
-    // Aggregate views depend on their source relation (§8 extension).
-    const objectlog::AggregateDef* agg = registry.GetAggregate(rel);
-    if (agg == nullptr) {
-      return Status::NotFound("derived relation '" +
-                              catalog.RelationName(rel) +
-                              "' has no definition");
-    }
-    return CollectBaseInfluents(agg->source, registry, catalog, seen, out);
-  }
-  for (const Clause& clause : *clauses) {
-    for (const Literal& lit : clause.body) {
-      if (lit.kind != Literal::Kind::kRelation) continue;
-      DELTAMON_RETURN_IF_ERROR(
-          CollectBaseInfluents(lit.relation, registry, catalog, seen, out));
-    }
-  }
-  return Status::OK();
-}
-
 /// Lineage trees are exported for at most this many instances per firing
 /// (the FiringRecord's captured/total counts announce the truncation): a
 /// bulk firing over thousands of instances must not render thousands of
@@ -221,9 +188,23 @@ Status RuleManager::Activate(RuleId rule, const Tuple& params) {
   act.rule = rule;
   act.params = params;
   act.condition = cond;
-  std::unordered_set<RelationId> seen;
-  DELTAMON_RETURN_IF_ERROR(CollectBaseInfluents(
-      cond, registry_, db_.catalog(), seen, act.influents));
+  // The stored and foreign relations the condition reaches are the
+  // influents whose updates must be monitored; every derived relation it
+  // reaches needs a definition.
+  const Catalog& catalog = db_.catalog();
+  auto undefined = [&catalog](RelationId rel) {
+    return Status::NotFound("derived relation '" + catalog.RelationName(rel) +
+                            "' has no definition");
+  };
+  if (!registry_.IsDefined(cond)) return undefined(cond);
+  for (RelationId rel : registry_.Reach(cond)) {
+    if (!catalog.IsDerived(rel)) {
+      act.influents.push_back(rel);
+    } else if (!registry_.IsDefined(rel) &&
+               registry_.GetAggregate(rel) == nullptr) {
+      return undefined(rel);
+    }
+  }
   for (RelationId rel : act.influents) db_.MarkMonitored(rel);
 
   // Naive and hybrid monitoring materialize the condition extent at

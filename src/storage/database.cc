@@ -139,13 +139,7 @@ Status Database::Commit() {
     in_check_phase_ = false;
     if (!s.ok()) return s;
   }
-  DELTAMON_OBS_RECORD("db.tx_events", undo_log_.size());
-  DELTAMON_OBS_GAUGE_SET("db.undo_log_size", 0);
-  undo_log_.clear();
-  pending_deltas_.clear();
-  ++stats_.commits;
-  DELTAMON_OBS_COUNT("db.commits", 1);
-  return Status::OK();
+  return CommitWithoutCheck();
 }
 
 Status Database::Rollback() {

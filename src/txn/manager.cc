@@ -1,23 +1,12 @@
 #include "txn/manager.h"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace deltamon::txn {
-
-namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 void TransactionManager::Begin(TxnSnapshot& txn) {
   uint64_t v = current_version();
@@ -36,7 +25,7 @@ Status TransactionManager::Commit(TxnSnapshot& txn, obs::Profile* profiler) {
   w.txn = &txn;
   w.profiler = profiler;
   w.scope = obs::CurrentTraceScope();
-  w.enqueue_ns = NowNs();
+  w.enqueue_ns = obs::MonotonicNowNs();
 
   std::unique_lock<std::mutex> lk(qmu_);
   queue_.push_back(&w);
@@ -85,7 +74,7 @@ void TransactionManager::CommitBatch(const std::vector<Waiter*>& batch) {
   obs::ScopedTrace trace(front.solo() ? front.scope
                                       : obs::CurrentTraceScope());
   std::unique_lock<std::shared_mutex> gate(engine_mu_);
-  const uint64_t start_ns = NowNs();
+  const uint64_t start_ns = obs::MonotonicNowNs();
   const uint64_t base_version = version_.load(std::memory_order_relaxed);
   uint64_t next_version = base_version;
 
@@ -131,9 +120,9 @@ void TransactionManager::CommitBatch(const std::vector<Waiter*>& batch) {
       // attach/detach discipline as the profiler) so firing provenance
       // and wave capture record the version their changes commit at.
       rules_.SetCommitVersion(next_version);
-      const uint64_t c0 = NowNs();
+      const uint64_t c0 = obs::MonotonicNowNs();
       wave = rules_.CheckPhase(db_);
-      check_ns = NowNs() - c0;
+      check_ns = obs::MonotonicNowNs() - c0;
       rules_.SetCommitVersion(0);
       if (profiler != nullptr) rules_.SetProfiler(nullptr);
     }

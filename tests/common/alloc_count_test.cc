@@ -219,6 +219,40 @@ TEST(AllocCountTest, ReserveOnUntypedColumnServesTheFirstKind) {
   EXPECT_EQ(t.num_rows(), 1000u);
 }
 
+TEST(AllocCountTest, IsRecursiveIsALookup) {
+#if !DELTAMON_ALLOC_COUNTS_RELIABLE
+  GTEST_SKIP() << "allocation counting unreliable under sanitizers";
+#endif
+  // Every §7.2 point query asks whether its relation is recursive; the
+  // registry answers from the reach it computed when the relations were
+  // defined, without walking the definitions again.
+  using objectlog::Clause;
+  using objectlog::Literal;
+  using objectlog::Term;
+  Engine engine;
+  Catalog& cat = engine.db.catalog();
+  const ColumnType int_col{ValueKind::kInt, kInvalidTypeId};
+  const FunctionSignature sig{{int_col}, {int_col}};
+  RelationId stored = *cat.CreateStoredFunction("stored", sig);
+  RelationId inner = *cat.CreateDerivedFunction("inner", sig);
+  RelationId outer = *cat.CreateDerivedFunction("outer", sig);
+  auto define = [&](RelationId head, RelationId read) {
+    Clause clause;
+    clause.head_relation = head;
+    clause.num_vars = 2;
+    clause.head_args = {Term::Var(0), Term::Var(1)};
+    clause.body = {Literal::Relation(read, {Term::Var(0), Term::Var(1)})};
+    return engine.registry.Define(head, std::move(clause), cat);
+  };
+  ASSERT_TRUE(define(inner, stored).ok());
+  ASSERT_TRUE(define(outer, inner).ok());
+
+  uint64_t before = AllocCount();
+  const bool recursive = engine.registry.IsRecursive(outer);
+  EXPECT_EQ(AllocCount(), before) << "IsRecursive must not touch the heap";
+  EXPECT_FALSE(recursive);
+}
+
 /// An oltp_net-shaped partial differential over a small inventory:
 ///   low(I, Q) <- Δ+quantity(I, Q), consume_freq(I, C),
 ///                delivery_time(I, D), min_stock(I, M),

@@ -555,6 +555,65 @@ TEST_F(ServerFixture, DisconnectWithRepliesInFlightKeepsServing) {
   server_->Stop();
 }
 
+TEST_F(ServerFixture, DisconnectWhileItsCommitIsQueuedKeepsServing) {
+  // A client hangs up while its commit waits in the group-commit queue. The
+  // commit still lands when the queue resumes; its reply goes to a closed
+  // socket, and only that connection is torn down.
+  ServerOptions options;
+  options.enable_admin = false;
+  options.num_workers = 2;
+  StartServer(options);
+  Result<Client> reader = Client::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_TRUE(reader->Execute("create function f(integer) -> integer;").ok());
+
+  engine_.txn.SetCommitPaused(true);
+  {
+    Result<RawConn> conn = RawConn::Open(server_->port());
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(conn->Handshake().ok());
+    ASSERT_TRUE(conn->Send(FrameType::kQuery, "set f(1) = 2; commit;").ok());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (engine_.txn.queued_commits() < 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(engine_.txn.queued_commits(), 1u);
+  }  // closed while its commit is queued
+  engine_.txn.SetCommitPaused(false);
+
+  // The reader's snapshot may predate the commit's apply; poll until the
+  // committed value shows.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::vector<std::string> rows;
+  while (true) {
+    Result<Client::Response> r = reader->Execute("select f(1);");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    rows = r->rows;
+    if (rows == std::vector<std::string>{"(2)"} ||
+        std::chrono::steady_clock::now() >= deadline) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(rows, std::vector<std::string>{"(2)"});
+
+  Result<Client::Response> later =
+      reader->Execute("set f(3) = 4; commit; select f(3);");
+  ASSERT_TRUE(later.ok()) << later.status().ToString();
+  EXPECT_EQ(later->rows, std::vector<std::string>{"(4)"});
+
+  while (server_->active_connections() != 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server_->active_connections(), 1)
+      << "only the reader is still connected";
+  server_->Stop();
+}
+
 TEST_F(ServerFixture, OnlyRuleCreatingSessionsAreRetired) {
   // The graveyard must grow with rule-creating sessions, not with every
   // connection ever served.

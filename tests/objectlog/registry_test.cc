@@ -256,6 +256,75 @@ TEST_F(RegistryTest, MutualRecursionDetected) {
   EXPECT_TRUE(engine_.registry.IsRecursive(b));
 }
 
+TEST_F(RegistryTest, ReaderOfARecursiveRelationIsNotRecursive) {
+  // v is on a cycle; w only reads it, so w reaches v but not itself.
+  RelationId v = Derived("v", 1);
+  Clause cv;
+  cv.head_relation = v;
+  cv.num_vars = 2;
+  cv.head_args = {Term::Var(0)};
+  cv.body = {Literal::Relation(q_, {Term::Var(0), Term::Var(1)}),
+             Literal::Relation(v, {Term::Var(1)})};
+  ASSERT_TRUE(engine_.registry.Define(v, cv, engine_.db.catalog()).ok());
+  RelationId w = Derived("w", 1);
+  Clause cw;
+  cw.head_relation = w;
+  cw.num_vars = 1;
+  cw.head_args = {Term::Var(0)};
+  cw.body = {Literal::Relation(v, {Term::Var(0)})};
+  ASSERT_TRUE(engine_.registry.Define(w, cw, engine_.db.catalog()).ok());
+  EXPECT_TRUE(engine_.registry.IsRecursive(v));
+  EXPECT_FALSE(engine_.registry.IsRecursive(w));
+}
+
+TEST_F(RegistryTest, CycleClosedByTheLastDefineMakesItsMembersRecursive) {
+  // a -> b -> c, then c -> a closes the cycle: a becomes recursive only
+  // when the last definition arrives.
+  RelationId a = Derived("cya", 1);
+  RelationId b = Derived("cyb", 1);
+  RelationId c = Derived("cyc", 1);
+  auto define = [&](RelationId head, RelationId read) {
+    Clause clause;
+    clause.head_relation = head;
+    clause.num_vars = 2;
+    clause.head_args = {Term::Var(0)};
+    clause.body = {Literal::Relation(q_, {Term::Var(0), Term::Var(1)}),
+                   Literal::Relation(read, {Term::Var(1)})};
+    return engine_.registry.Define(head, clause, engine_.db.catalog());
+  };
+  ASSERT_TRUE(define(a, b).ok());
+  ASSERT_TRUE(define(b, c).ok());
+  EXPECT_FALSE(engine_.registry.IsRecursive(a));
+  EXPECT_FALSE(engine_.registry.IsRecursive(b));
+  ASSERT_TRUE(define(c, a).ok());
+  EXPECT_TRUE(engine_.registry.IsRecursive(a));
+  EXPECT_TRUE(engine_.registry.IsRecursive(b));
+  EXPECT_TRUE(engine_.registry.IsRecursive(c));
+}
+
+TEST_F(RegistryTest, CycleThroughAnAggregateSourceIsRecursive) {
+  // x reads the count per key of x itself: x -> counts -> x.
+  RelationId x = Derived("agx", 2);
+  RelationId counts = Derived("agcounts", 2);
+  Clause cx;
+  cx.head_relation = x;
+  cx.num_vars = 3;
+  cx.head_args = {Term::Var(0), Term::Var(1)};
+  cx.body = {Literal::Relation(q_, {Term::Var(0), Term::Var(1)}),
+             Literal::Relation(counts, {Term::Var(0), Term::Var(2)})};
+  ASSERT_TRUE(engine_.registry.Define(x, cx, engine_.db.catalog()).ok());
+  EXPECT_FALSE(engine_.registry.IsRecursive(x));
+  AggregateDef def;
+  def.source = x;
+  def.group_by = {0};
+  def.func = AggregateDef::Func::kCount;
+  ASSERT_TRUE(engine_.registry
+                  .DefineAggregate(counts, def, engine_.db.catalog())
+                  .ok());
+  EXPECT_TRUE(engine_.registry.IsRecursive(x));
+  EXPECT_TRUE(engine_.registry.IsRecursive(counts));
+}
+
 TEST_F(RegistryTest, NegatedDerivedLiteralNotExpanded) {
   RelationId inner = Derived("inner", 1);
   Clause ci;

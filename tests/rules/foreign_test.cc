@@ -200,6 +200,75 @@ TEST(ForeignFunctionErrorsTest, Registration) {
   EXPECT_TRUE(engine.db.InjectForeignDelta(foreign, DeltaSet()).ok());
 }
 
+TEST(ActivationInfluentsTest, MonitorsTheStoredAndForeignLeavesOnly) {
+  // cnd reads the foreign temp directly and the stored limit through the
+  // derived limit_view: only the two leaves are monitored.
+  Engine engine;
+  Catalog& cat = engine.db.catalog();
+  SensorWorld world;
+  const FunctionSignature pair{{IntCol()}, {IntCol()}};
+  RelationId temp = *cat.CreateForeignFunction("temp", pair);
+  ASSERT_TRUE(engine.registry.RegisterForeign(temp, world.MakeImpl(), cat)
+                  .ok());
+  RelationId limit = *cat.CreateStoredFunction("limit", pair);
+  RelationId unread = *cat.CreateStoredFunction("unread", pair);
+  RelationId limit_view = *cat.CreateDerivedFunction("limit_view", pair);
+  Clause view;
+  view.head_relation = limit_view;
+  view.num_vars = 2;
+  view.head_args = {Term::Var(0), Term::Var(1)};
+  view.body = {Literal::Relation(limit, {Term::Var(0), Term::Var(1)})};
+  ASSERT_TRUE(engine.registry.Define(limit_view, std::move(view), cat).ok());
+  RelationId cnd = *cat.CreateDerivedFunction(
+      "cnd_hot", FunctionSignature{{}, {IntCol()}});
+  Clause c;
+  c.head_relation = cnd;
+  c.num_vars = 3;
+  c.head_args = {Term::Var(0)};
+  c.body = {Literal::Relation(temp, {Term::Var(0), Term::Var(1)}),
+            Literal::Relation(limit_view, {Term::Var(0), Term::Var(2)}),
+            Literal::Compare(CompareOp::kGt, Term::Var(1), Term::Var(2))};
+  ASSERT_TRUE(engine.registry.Define(cnd, std::move(c), cat).ok());
+
+  auto rule = engine.rules.CreateRule(
+      "hot", cnd,
+      [](Database&, const Tuple&, const std::vector<Tuple>&) {
+        return Status::OK();
+      });
+  ASSERT_TRUE(rule.ok());
+  ASSERT_TRUE(engine.rules.Activate(*rule).ok());
+  EXPECT_TRUE(engine.db.IsMonitored(temp));
+  EXPECT_TRUE(engine.db.IsMonitored(limit));
+  EXPECT_FALSE(engine.db.IsMonitored(limit_view));
+  EXPECT_FALSE(engine.db.IsMonitored(cnd));
+  EXPECT_FALSE(engine.db.IsMonitored(unread));
+}
+
+TEST(ActivationInfluentsTest, UndefinedDerivedRelationIsNotFound) {
+  Engine engine;
+  Catalog& cat = engine.db.catalog();
+  const FunctionSignature pair{{IntCol()}, {IntCol()}};
+  RelationId stored = *cat.CreateStoredFunction("s", pair);
+  RelationId undefined = *cat.CreateDerivedFunction("undefined_view", pair);
+  RelationId cnd = *cat.CreateDerivedFunction(
+      "cnd_undefined", FunctionSignature{{}, {IntCol()}});
+  Clause c;
+  c.head_relation = cnd;
+  c.num_vars = 2;
+  c.head_args = {Term::Var(0)};
+  c.body = {Literal::Relation(stored, {Term::Var(0), Term::Var(1)}),
+            Literal::Relation(undefined, {Term::Var(0), Term::Var(1)})};
+  ASSERT_TRUE(engine.registry.Define(cnd, std::move(c), cat).ok());
+
+  auto rule = engine.rules.CreateRule(
+      "undefined", cnd,
+      [](Database&, const Tuple&, const std::vector<Tuple>&) {
+        return Status::OK();
+      });
+  ASSERT_TRUE(rule.ok());
+  EXPECT_EQ(engine.rules.Activate(*rule).code(), StatusCode::kNotFound);
+}
+
 TEST(ForeignFunctionEvalTest, OldStateByInjectedDeltaRollback) {
   Engine engine;
   Catalog& cat = engine.db.catalog();
