@@ -191,11 +191,9 @@ Status SetFn(Engine& engine, RelationId fn, Oid object, int64_t value) {
 Result<int64_t> GetFn(const Engine& engine, RelationId fn, Oid object) {
   const BaseRelation* rel = engine.db.catalog().GetBaseRelation(fn);
   if (rel == nullptr) return Status::InvalidArgument("not a stored function");
-  ScanPattern pattern(rel->arity());
-  pattern[0] = Value(object);
   int64_t out = 0;
   bool found = false;
-  rel->Scan(pattern, [&](const Tuple& t) {
+  rel->ForEachWithValue(0, Value(object), [&](const Tuple& t) {
     if (t[1].is_int()) {
       out = t[1].AsInt();
       found = true;

@@ -70,7 +70,8 @@ Status Propagator::ProcessNode(
     RelationId rel, size_t level,
     const std::unordered_map<RelationId, DeltaSet>& wave,
     const std::unordered_map<RelationId, const BaseRelation*>& view_map,
-    objectlog::EvalCache* cache, NodeOutput* out) const {
+    objectlog::BuildSideStore* build_sides, objectlog::EvalCache* cache,
+    NodeOutput* out) const {
   const NetworkNode& node = network_.nodes().at(rel);
   PropagationResult::Stats& stats = out->stats;
   // Per-node attribution (span + NodeStats): one clock pair per node per
@@ -98,6 +99,7 @@ Status Propagator::ProcessNode(
   ctx.deltas = &wave;
   if (!view_map.empty()) ctx.views = &view_map;
   ctx.hidden_view = rel;
+  ctx.build_sides = build_sides;
   // The recursive fixpoint below re-exposes this node's growing Δ-set to
   // its own Δ-role literals through this overlay slot — again without
   // touching the shared wave map.
@@ -478,6 +480,9 @@ Result<PropagationResult> Propagator::Propagate(
            std::any_of(reach.begin(), reach.end(), input_changed);
   };
   for (objectlog::EvalCache& cache : *caches) cache.BeginWave(drop);
+  // Hash-join build sides over stored relations, shared by every node and
+  // worker of this wave and rebuilt by the next one.
+  objectlog::BuildSideStore build_sides;
 
   size_t wavefront = 0;  // tuples held in intermediate (derived) Δ-sets
   const auto& levels = network_.levels();
@@ -495,8 +500,9 @@ Result<PropagationResult> Propagator::Propagate(
     outputs.resize(level_nodes.size());
     auto evaluate = [&](size_t i, size_t worker) {
       obs::ScopedTrace trace(scope);
-      outputs[i].status = ProcessNode(level_nodes[i], lvl, wave, view_map,
-                                      &(*caches)[worker], &outputs[i]);
+      outputs[i].status =
+          ProcessNode(level_nodes[i], lvl, wave, view_map, &build_sides,
+                      &(*caches)[worker], &outputs[i]);
     };
     if (pool != nullptr) {
       pool->Run(level_nodes.size(), evaluate);

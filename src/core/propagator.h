@@ -192,12 +192,14 @@ class Propagator {
   /// partial differentials, the self-edge fixpoint, and the §7.2 filters.
   /// Reads `wave` and `view_map` but never mutates them (per-node overlay
   /// and view hiding go through the evaluator's StateContext), so any
-  /// number of same-level ProcessNode calls may run concurrently.
+  /// number of same-level ProcessNode calls may run concurrently. Its
+  /// build joins over stored relations read the wave's `build_sides`.
   Status ProcessNode(
       RelationId rel, size_t level,
       const std::unordered_map<RelationId, DeltaSet>& wave,
       const std::unordered_map<RelationId, const BaseRelation*>& view_map,
-      objectlog::EvalCache* cache, NodeOutput* out) const;
+      objectlog::BuildSideStore* build_sides, objectlog::EvalCache* cache,
+      NodeOutput* out) const;
 
   /// Folds one node's output into the running wave state: trace append,
   /// stats fold, view apply, wave insert, peak accounting, and wave-front

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -18,6 +19,40 @@
 #include "storage/stats_store.h"
 
 namespace deltamon::objectlog {
+
+/// What identifies a hash-join build side, and everything building it
+/// reads (eval_kernel.cc).
+struct BuildSideKey;
+
+/// The hash-join build sides over stored relations that one propagation
+/// wave shares among all its differentials, nodes and workers (see
+/// docs/kernels.md). Within a wave nothing changes a stored relation's NEW
+/// extent or its OLD state by rollback over the wave's base Δ-sets, so a
+/// build side depends on its key alone: the relation, the state, the
+/// constant pattern, the repeated-variable checks, and the join and
+/// new-variable positions. The first kernel step that needs a side builds
+/// it under that side's lock; later steps, on any worker, wait for the
+/// build and then read the side without locking. So each side is built
+/// exactly once per wave, at any pool size. The propagator keeps one store
+/// per Propagate call; a store that builds nothing allocates nothing.
+class BuildSideStore {
+ public:
+  BuildSideStore();
+  ~BuildSideStore();
+  BuildSideStore(const BuildSideStore&) = delete;
+  BuildSideStore& operator=(const BuildSideStore&) = delete;
+
+ private:
+  friend class Evaluator;
+  struct Entry;
+
+  /// The entry for `key`, created unbuilt on first request. Entries never
+  /// move, so the reference stays valid for the store's lifetime.
+  Entry& Find(const BuildSideKey& key);
+
+  std::mutex mu_;  ///< guards entries_, not the entries' sides
+  std::vector<std::unique_ptr<Entry>> entries_;
+};
 
 /// The evaluation context tying a clause evaluation to database states:
 ///  - `deltas` supplies, per relation, the Δ-set accumulated so far. It is
@@ -59,6 +94,12 @@ struct StateContext {
   /// runs after overlays are applied, against the shared store.
   TxnSnapshot* txn = nullptr;
 
+  /// Non-null during a propagation wave: the wave's shared build sides.
+  /// A build join over a stored relation reads its side from here; without
+  /// a store (ad-hoc evaluations) each build join builds into the kernel
+  /// scratch.
+  BuildSideStore* build_sides = nullptr;
+
   const DeltaSet* DeltaFor(RelationId rel) const {
     if (rel == overlay_rel && overlay_delta != nullptr) return overlay_delta;
     if (deltas == nullptr) return nullptr;
@@ -74,7 +115,7 @@ struct StateContext {
 };
 
 /// Working storage of the batch kernels (eval_kernel.cc): batch tables,
-/// selection vectors, groupings, hash indexes and the probe pattern.
+/// selection vectors, groupings, a build side and the probe pattern.
 struct KernelScratch;
 
 /// Memoizes fully materialized extents of derived relations per

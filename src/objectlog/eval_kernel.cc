@@ -17,6 +17,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -25,6 +26,27 @@
 #include "objectlog/eval.h"
 
 namespace deltamon::objectlog {
+
+/// A build join's side, and what identifies it in a BuildSideStore: the
+/// relation and state scanned, the constants pushed into the scan, the
+/// repeated-variable checks each tuple must pass, and the tuple positions
+/// copied into the side's join columns and then its new-variable columns.
+/// Building reads nothing else, so equal keys within a wave give equal
+/// sides.
+struct BuildSideKey {
+  RelationId relation = kInvalidRelationId;
+  EvalState state = EvalState::kNew;
+  ScanPattern pattern;  ///< constants only
+  std::vector<std::pair<size_t, size_t>> repeat_checks;  ///< (pos, first pos)
+  std::vector<size_t> join_pos;
+  std::vector<size_t> new_pos;
+  /// 0..#join-1: the side's join columns, which its index is keyed on.
+  /// Follows from join_pos.
+  std::vector<size_t> index_cols;
+
+  bool operator==(const BuildSideKey&) const = default;
+};
+
 namespace {
 
 std::atomic<uint64_t> g_plan_compilations{0};
@@ -117,6 +139,15 @@ struct ColumnCopier {
   }
 };
 
+/// True when `t` passes every repeated-variable cross-check in `checks`.
+bool RepeatsMatch(const std::vector<std::pair<size_t, size_t>>& checks,
+                  const Tuple& t) {
+  for (const auto& [i, j] : checks) {
+    if (!(t[i] == t[j])) return false;
+  }
+  return true;
+}
+
 /// Compiled unification program for one relation literal: constant
 /// positions to check, repeated-variable positions to cross-check, and the
 /// first tuple position of each distinct variable.
@@ -150,10 +181,7 @@ struct LiteralShape {
 
   /// The repeated-variable cross-checks alone (constants pushed down).
   bool RepeatsMatch(const Tuple& t) const {
-    for (const auto& [i, j] : repeat_checks) {
-      if (!(t[i] == t[j])) return false;
-    }
-    return true;
+    return objectlog::RepeatsMatch(repeat_checks, t);
   }
 };
 
@@ -219,11 +247,10 @@ struct KernelStep {
   bool any_pattern = false;  ///< constants or join variables to push down
   size_t num_new = 0;        ///< unbound distinct variables bound here
   std::vector<size_t> key_cols;  ///< batch columns of the join variables
-  std::vector<size_t> join_pos;  ///< tuple position of each join variable
-  std::vector<size_t> new_pos;   ///< tuple position of each new variable
   ProbeRecipe probe;
-  ScanPattern build_pattern;  ///< constants only: the build-side scan
-  std::vector<size_t> build_key_cols;  ///< 0..#join-1 in the build table
+  /// Joins: the build side, whose new-variable positions also lay out the
+  /// probe candidates.
+  BuildSideKey side;
   /// (dst column, index among the new variables) of each fresh variable:
   /// its column in the probe candidates, or past the join columns in the
   /// build table.
@@ -458,20 +485,24 @@ KernelPlan KernelPlan::Compile(const Clause& clause,
         s.probe = ProbeRecipe(l, bound, *in);
         for (int v : join_vars) {
           s.key_cols.push_back(static_cast<size_t>(in->col_of_var[v]));
-          s.join_pos.push_back(static_cast<size_t>(s.shape.first_pos[v]));
-        }
-        for (int v : new_vars) {
-          s.new_pos.push_back(static_cast<size_t>(s.shape.first_pos[v]));
         }
         if (s.existence) break;
 
         // Join: the build side scans with the constants pushed down into
         // a table of join columns then new-variable columns; probe
         // candidates hold the new-variable columns alone.
-        s.build_pattern = ScanPattern(l.args.size());
-        for (const auto& [i, c] : s.shape.const_checks) s.build_pattern[i] = c;
+        s.side.relation = l.relation;
+        s.side.state = l.state;
+        s.side.pattern = ScanPattern(l.args.size());
+        for (const auto& [i, c] : s.shape.const_checks) s.side.pattern[i] = c;
+        s.side.repeat_checks = s.shape.repeat_checks;
         for (size_t c = 0; c < join_vars.size(); ++c) {
-          s.build_key_cols.push_back(c);
+          s.side.join_pos.push_back(
+              static_cast<size_t>(s.shape.first_pos[join_vars[c]]));
+          s.side.index_cols.push_back(c);
+        }
+        for (int v : new_vars) {
+          s.side.new_pos.push_back(static_cast<size_t>(s.shape.first_pos[v]));
         }
         for (const auto& [dst, var] : s.copier.fresh) {
           s.fresh_new.emplace_back(
@@ -534,6 +565,35 @@ KernelPlan KernelPlan::Compile(const Clause& clause,
   return plan;
 }
 
+/// A build join's side: the extent's tuples that pass its key's constants
+/// and repeated-variable checks, join columns first, then the new
+/// variables' columns, indexed on the join columns.
+struct BuildSide {
+  ColumnTable table;
+  ColumnTable::HashIndex index;
+};
+
+struct BuildSideStore::Entry {
+  explicit Entry(const BuildSideKey& k) : key(k) {}
+
+  const BuildSideKey key;
+  std::mutex mu;  ///< held while the side is built
+  bool built = false;
+  Status status = Status::OK();  ///< the build's outcome, once built
+  BuildSide side;
+};
+
+BuildSideStore::BuildSideStore() = default;
+BuildSideStore::~BuildSideStore() = default;
+
+BuildSideStore::Entry& BuildSideStore::Find(const BuildSideKey& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const std::unique_ptr<Entry>& e : entries_) {
+    if (e->key == key) return *e;
+  }
+  return *entries_.emplace_back(std::make_unique<Entry>(key));
+}
+
 /// RunKernelPlan's working storage. Every table and vector is reset
 /// between uses, never freed, so once warm a one-row partial differential
 /// allocates only its head tuples. An EvalCache owns it; EvalCache::Clear
@@ -541,10 +601,9 @@ KernelPlan KernelPlan::Compile(const Clause& clause,
 struct KernelScratch {
   /// The batch a step consumes and the one it produces, swapped per step.
   ColumnTable tables[2];
-  ColumnTable build;  ///< a build join's extent
-  ColumnTable cand;   ///< a probe join's candidates, one range per group
+  BuildSide side;    ///< a build join's side when no wave store holds it
+  ColumnTable cand;  ///< a probe join's candidates, one range per group
   ColumnTable::Grouping grouping;
-  ColumnTable::HashIndex index;
   /// Surviving batch rows in emission order, and for joins the build or
   /// candidate row each is paired with.
   std::vector<uint32_t> sel;
@@ -591,13 +650,19 @@ class ScratchLease {
   KernelScratch& scratch_;
 };
 
-/// What a join's ScanRelation callback appends to, behind the single
+/// What a probe join's ScanRelation callback appends to, behind the single
 /// pointer the callback captures — so the std::function built from it
 /// stays in its small buffer instead of allocating.
 struct ScanSink {
   const KernelStep* step;
   ColumnTable* table;
-  obs::LiteralProfile* slot;  ///< probe joins count each tuple tried
+  obs::LiteralProfile* slot;  ///< counts each tuple tried
+};
+
+/// The same for a build side's scan.
+struct BuildSink {
+  const BuildSideKey* key;
+  ColumnTable* table;
 };
 
 }  // namespace
@@ -673,6 +738,43 @@ Status Evaluator::RunKernelPlan(const KernelPlan& plan, const Clause& clause,
       }
     }
     return Status::OK();
+  };
+
+  // A build join's side: one scan of the extent (constants pushed down)
+  // into a columnar table, indexed on its join columns. Over a stored
+  // relation in a propagation wave, the wave's store holds the side and
+  // the first step to need it builds it; every other step (an ad-hoc
+  // evaluation, a materialized view) builds its own into the scratch.
+  auto build_side = [&](const BuildSideKey& key,
+                        bool shared) -> Result<const BuildSide*> {
+    auto fill = [this, &key](BuildSide& side) -> Status {
+      side.table.Reset(key.join_pos.size() + key.new_pos.size());
+      const BuildSink sink{&key, &side.table};
+      DELTAMON_RETURN_IF_ERROR(ScanRelation(
+          key.relation, key.state, key.pattern, [&sink](const Tuple& t) {
+            const BuildSideKey& k = *sink.key;
+            if (!RepeatsMatch(k.repeat_checks, t)) return true;
+            size_t c = 0;
+            for (size_t pos : k.join_pos) sink.table->AppendCell(c++, t[pos]);
+            for (size_t pos : k.new_pos) sink.table->AppendCell(c++, t[pos]);
+            sink.table->FinishRow();
+            return true;
+          }));
+      side.table.BuildIndex(key.index_cols, &side.index);
+      return Status::OK();
+    };
+    if (!shared) {
+      DELTAMON_RETURN_IF_ERROR(fill(sc.side));
+      return &sc.side;
+    }
+    BuildSideStore::Entry& entry = ctx_.build_sides->Find(key);
+    std::lock_guard<std::mutex> lock(entry.mu);
+    if (!entry.built) {
+      entry.status = fill(entry.side);
+      entry.built = true;
+    }
+    DELTAMON_RETURN_IF_ERROR(entry.status);
+    return &entry.side;  // final once built: read on without the lock
   };
 
   // Semi-join pre-filter: one stop-at-first existence probe per distinct
@@ -812,44 +914,32 @@ Status Evaluator::RunKernelPlan(const KernelPlan& plan, const Clause& clause,
         bool use_build = build_ok && cost_build <= cost_probe;
 
         if (use_build) {
-          // BUILD: one scan of the extent (constants pushed down) into a
-          // columnar side table — join columns first, then the new
-          // variables' columns — indexed on the join columns; every batch
-          // row then walks its hash chain, batch rows ascending.
-          const size_t njoin = s.join_pos.size();
-          sc.build.Reset(njoin + s.num_new);
+          // BUILD: get the side (join columns first, then the new
+          // variables' columns, indexed on the join columns); every batch
+          // row then walks its hash chain, batch rows ascending. A side
+          // read from the wave's store still counts one scan here, so
+          // profiles do not depend on which step built it.
           if (slot != nullptr) ++slot->scans;
-          const ScanSink sink{&s, &sc.build, nullptr};
-          DELTAMON_RETURN_IF_ERROR(ScanRelation(
-              s.relation, s.state, s.build_pattern, [&sink](const Tuple& t) {
-                const KernelStep& st = *sink.step;
-                if (!st.shape.RepeatsMatch(t)) return true;
-                size_t c = 0;
-                for (size_t pos : st.join_pos) {
-                  sink.table->AppendCell(c++, t[pos]);
-                }
-                for (size_t pos : st.new_pos) {
-                  sink.table->AppendCell(c++, t[pos]);
-                }
-                sink.table->FinishRow();
-                return true;
-              }));
-          sc.build.BuildIndex(s.build_key_cols, &sc.index);
+          DELTAMON_ASSIGN_OR_RETURN(
+              const BuildSide* side,
+              build_side(s.side, s.stored && ctx_.build_sides != nullptr));
+          const ColumnTable& table = side->table;
+          const ColumnTable::HashIndex& index = side->index;
           batch->KeyHashes(s.key_cols, &sc.hashes);
           for (size_t row = 0; row < rows; ++row) {
-            for (uint32_t er = sc.index.First(sc.hashes[row]);
-                 er != ColumnTable::HashIndex::kNoRow;
-                 er = sc.index.Next(er)) {
+            for (uint32_t er = index.First(sc.hashes[row]);
+                 er != ColumnTable::HashIndex::kNoRow; er = index.Next(er)) {
               if (slot != nullptr) ++slot->bindings_tried;
-              if (sc.build.KeyEquals(er, s.build_key_cols, *batch, row,
-                                     s.key_cols)) {
+              if (table.KeyEquals(er, s.side.index_cols, *batch, row,
+                                  s.key_cols)) {
                 sc.sel.push_back(static_cast<uint32_t>(row));
                 sc.match.push_back(er);
               }
             }
           }
+          const size_t njoin = s.side.join_pos.size();
           for (const auto& [dst, i] : s.fresh_new) {
-            next->Gather(dst, sc.build, njoin + i, sc.match);
+            next->Gather(dst, table, njoin + i, sc.match);
           }
           if (slot != nullptr) {
             slot->access = (k == semijoin_step) ? "semijoin-filtered"
@@ -875,7 +965,7 @@ Status Evaluator::RunKernelPlan(const KernelPlan& plan, const Clause& clause,
                   // pattern; unbound repeats still need the cross-check.
                   if (!sink.step->shape.RepeatsMatch(t)) return true;
                   size_t c = 0;
-                  for (size_t pos : sink.step->new_pos) {
+                  for (size_t pos : sink.step->side.new_pos) {
                     sink.table->AppendCell(c++, t[pos]);
                   }
                   sink.table->FinishRow();

@@ -49,6 +49,7 @@ Status DerivedRegistry::Define(RelationId rel, Clause clause,
   std::vector<Clause>& defs = clauses_[rel];
   defs.push_back(std::move(clause));
   AddEdges(rel, DirectDependencies(defs));
+  ++version_;
   return Status::OK();
 }
 
@@ -104,6 +105,7 @@ Status DerivedRegistry::DefineAggregate(RelationId rel, AggregateDef def,
   }
   AddEdges(rel, {def.source});
   aggregates_.emplace(rel, std::move(def));
+  ++version_;
   return Status::OK();
 }
 

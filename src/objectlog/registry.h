@@ -1,6 +1,7 @@
 #ifndef DELTAMON_OBJECTLOG_REGISTRY_H_
 #define DELTAMON_OBJECTLOG_REGISTRY_H_
 
+#include <cstdint>
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
@@ -99,6 +100,11 @@ class DerivedRegistry {
   /// gate (or before any wave), so concurrent readers see a fixed graph.
   const std::vector<RelationId>& Reach(RelationId rel) const;
 
+  /// Moves whenever Define or DefineAggregate adds a definition, so a
+  /// holder of anything derived from the definitions (the rule manager's
+  /// influents and network) can tell that it is stale.
+  uint64_t version() const { return version_; }
+
   bool IsDefined(RelationId rel) const { return clauses_.contains(rel); }
   /// Null if `rel` has no clauses.
   const std::vector<Clause>* GetClauses(RelationId rel) const;
@@ -128,6 +134,7 @@ class DerivedRegistry {
   std::unordered_map<RelationId, ForeignImpl> foreign_;
   /// Keyed by every relation with a definition.
   std::unordered_map<RelationId, std::vector<RelationId>> reach_;
+  uint64_t version_ = 0;
 };
 
 }  // namespace deltamon::objectlog

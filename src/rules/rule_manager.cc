@@ -165,6 +165,55 @@ Result<RelationId> RuleManager::SpecializeCondition(const Rule& rule,
   return spec;
 }
 
+Result<std::vector<RelationId>> RuleManager::Influents(
+    RelationId cond) const {
+  // The stored and foreign relations the condition reaches are the
+  // influents whose updates must be monitored; every derived relation it
+  // reaches needs a definition.
+  const Catalog& catalog = db_.catalog();
+  auto undefined = [&catalog](RelationId rel) {
+    return Status::NotFound("derived relation '" + catalog.RelationName(rel) +
+                            "' has no definition");
+  };
+  if (!registry_.IsDefined(cond)) return undefined(cond);
+  std::vector<RelationId> influents;
+  for (RelationId rel : registry_.Reach(cond)) {
+    if (!catalog.IsDerived(rel)) {
+      influents.push_back(rel);
+    } else if (!registry_.IsDefined(rel) &&
+               registry_.GetAggregate(rel) == nullptr) {
+      return undefined(rel);
+    }
+  }
+  return influents;
+}
+
+Status RuleManager::SyncDefinitions() {
+  if (registry_.version() == registry_version_) return Status::OK();
+  // A definition was added since the influents and the network were
+  // derived. A relation an activation now reads is monitored from the
+  // start of the open transaction; one it no longer reads is released.
+  for (Activation& act : activations_) {
+    DELTAMON_ASSIGN_OR_RETURN(std::vector<RelationId> influents,
+                              Influents(act.condition));
+    for (RelationId rel : influents) {
+      if (!std::binary_search(act.influents.begin(), act.influents.end(),
+                              rel)) {
+        db_.MarkMonitoredFromTransactionStart(rel);
+      }
+    }
+    for (RelationId rel : act.influents) {
+      if (!std::binary_search(influents.begin(), influents.end(), rel)) {
+        db_.UnmarkMonitored(rel);
+      }
+    }
+    act.influents = std::move(influents);
+  }
+  registry_version_ = registry_.version();
+  network_dirty_ = true;
+  return Status::OK();
+}
+
 RuleManager::Activation* RuleManager::FindActivation(RuleId rule,
                                                      const Tuple& params) {
   for (Activation& act : activations_) {
@@ -188,23 +237,7 @@ Status RuleManager::Activate(RuleId rule, const Tuple& params) {
   act.rule = rule;
   act.params = params;
   act.condition = cond;
-  // The stored and foreign relations the condition reaches are the
-  // influents whose updates must be monitored; every derived relation it
-  // reaches needs a definition.
-  const Catalog& catalog = db_.catalog();
-  auto undefined = [&catalog](RelationId rel) {
-    return Status::NotFound("derived relation '" + catalog.RelationName(rel) +
-                            "' has no definition");
-  };
-  if (!registry_.IsDefined(cond)) return undefined(cond);
-  for (RelationId rel : registry_.Reach(cond)) {
-    if (!catalog.IsDerived(rel)) {
-      act.influents.push_back(rel);
-    } else if (!registry_.IsDefined(rel) &&
-               registry_.GetAggregate(rel) == nullptr) {
-      return undefined(rel);
-    }
-  }
+  DELTAMON_ASSIGN_OR_RETURN(act.influents, Influents(cond));
   for (RelationId rel : act.influents) db_.MarkMonitored(rel);
 
   // Naive and hybrid monitoring materialize the condition extent at
@@ -314,6 +347,7 @@ Status RuleManager::RebuildNetwork() {
 }
 
 Result<const core::PropagationNetwork*> RuleManager::network() {
+  DELTAMON_RETURN_IF_ERROR(SyncDefinitions());
   if (network_dirty_ || (network_ == nullptr && !activations_.empty())) {
     DELTAMON_RETURN_IF_ERROR(RebuildNetwork());
   }
@@ -450,6 +484,9 @@ Status RuleManager::CheckPhase(Database& db) {
   lineage_ = core::WaveLineage();
   last_round_roots_.clear();
   if (activations_.empty()) return Status::OK();
+  // Before the first round: a relation that a definition added since the
+  // last check makes an influent must contribute this transaction's Δ.
+  DELTAMON_RETURN_IF_ERROR(SyncDefinitions());
 
   // Wave capture: one record per incremental round, opened after the
   // propagation and flushed once the round's firings are known. Naive

@@ -251,6 +251,14 @@ class RuleManager {
   };
 
   Status RebuildNetwork();
+  /// The stored and foreign relations `cond` reaches (sorted); NotFound
+  /// when it, or a derived relation it reaches, has no definition.
+  Result<std::vector<RelationId>> Influents(RelationId cond) const;
+  /// When the registry's version moved since the last call, re-derives
+  /// every activation's influents (marking new ones, unmarking dropped
+  /// ones) and marks the network for a rebuild, which drops the retained
+  /// caches.
+  Status SyncDefinitions();
   /// Creates the specialized condition relation for (rule, params).
   Result<RelationId> SpecializeCondition(const Rule& rule,
                                          const Tuple& params);
@@ -288,6 +296,8 @@ class RuleManager {
 
   std::unique_ptr<core::PropagationNetwork> network_;
   bool network_dirty_ = false;
+  /// Registry version the influents and the network were last synced at.
+  uint64_t registry_version_ = 0;
   bool materialize_intermediates_ = false;
   obs::Profile* profiler_ = nullptr;
   core::MaterializedViewStore view_store_;

@@ -97,6 +97,19 @@ class BaseRelation {
   void Scan(const ScanPattern& pattern,
             const std::function<bool(const Tuple&)>& fn) const;
 
+  /// Keyed point lookup: invokes `fn` for every tuple whose `column`
+  /// (< arity()) holds `value`, through that column's hash index (built on
+  /// first use), until `fn` returns false. Unlike Scan it builds no pattern
+  /// and no std::function, so a warm lookup allocates nothing.
+  template <typename Fn>
+  void ForEachWithValue(size_t column, const Value& value, Fn&& fn) const {
+    EnsureIndex(column);
+    auto range = Index(column)->equal_range(value);
+    for (auto it = range.first; it != range.second; ++it) {
+      if (!fn(rows_.At(it->second))) return;
+    }
+  }
+
   /// Number of tuples matching `pattern` (for tests and cost estimation).
   size_t Count(const ScanPattern& pattern) const;
 

@@ -28,15 +28,17 @@ Status Database::ApplyAndLog(RelationId rel, UpdateEvent::Op op,
   undo_log_.push_back(UpdateEvent{rel, op, t});
   ++stats_.events_logged;
   DELTAMON_OBS_COUNT("db.events_logged", 1);
-  if (IsMonitored(rel)) {
-    DeltaSet& delta = pending_deltas_[rel];
-    if (op == UpdateEvent::Op::kInsert) {
-      delta.ApplyInsert(t);
-    } else {
-      delta.ApplyDelete(t);
-    }
-  }
+  if (IsMonitored(rel)) FoldIntoPending(undo_log_.back());
   return Status::OK();
+}
+
+void Database::FoldIntoPending(const UpdateEvent& e) {
+  DeltaSet& delta = pending_deltas_[e.relation];
+  if (e.op == UpdateEvent::Op::kInsert) {
+    delta.ApplyInsert(e.tuple);
+  } else {
+    delta.ApplyDelete(e.tuple);
+  }
 }
 
 Status Database::MaybeImmediateCheck() {
@@ -72,14 +74,21 @@ Status Database::Set(RelationId rel, const Tuple& args, const Tuple& results) {
   if (args.arity() + results.arity() != base->arity()) {
     return Status::TypeError("set " + base->name() + ": arity mismatch");
   }
-  // Collect existing tuples with this argument prefix, then delete them.
-  ScanPattern pattern(base->arity());
-  for (size_t i = 0; i < args.arity(); ++i) pattern[i] = args[i];
+  // Collect existing tuples with this argument prefix, then delete them:
+  // a lookup on the first argument column, then a check of the others. A
+  // function without arguments loses every tuple.
   std::vector<Tuple> old_tuples;
-  base->Scan(pattern, [&old_tuples](const Tuple& t) {
-    old_tuples.push_back(t);
-    return true;
-  });
+  if (args.arity() == 0) {
+    old_tuples.assign(base->rows().begin(), base->rows().end());
+  } else {
+    base->ForEachWithValue(0, args[0], [&](const Tuple& t) {
+      for (size_t i = 1; i < args.arity(); ++i) {
+        if (!(t[i] == args[i])) return true;
+      }
+      old_tuples.push_back(t);
+      return true;
+    });
+  }
   for (const Tuple& t : old_tuples) {
     DELTAMON_RETURN_IF_ERROR(ApplyAndLog(rel, UpdateEvent::Op::kDelete, t));
   }
@@ -166,6 +175,13 @@ Status Database::Rollback() {
 }
 
 void Database::MarkMonitored(RelationId rel) { ++monitor_counts_[rel]; }
+
+void Database::MarkMonitoredFromTransactionStart(RelationId rel) {
+  if (monitor_counts_[rel]++ > 0) return;
+  for (const UpdateEvent& e : undo_log_) {
+    if (e.relation == rel) FoldIntoPending(e);
+  }
+}
 
 void Database::UnmarkMonitored(RelationId rel) {
   auto it = monitor_counts_.find(rel);

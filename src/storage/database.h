@@ -115,6 +115,12 @@ class Database {
 
   /// Reference-counted: each activated rule marks its influents.
   void MarkMonitored(RelationId rel);
+  /// MarkMonitored for a relation an active rule starts to read mid-
+  /// transaction (a definition added after activation): when `rel` was not
+  /// monitored yet, its events logged in the open transaction are folded
+  /// into its pending Δ-set, so the check phase sees the transaction's
+  /// whole net change to it.
+  void MarkMonitoredFromTransactionStart(RelationId rel);
   void UnmarkMonitored(RelationId rel);
   bool IsMonitored(RelationId rel) const {
     return monitor_counts_.contains(rel);
@@ -144,6 +150,8 @@ class Database {
 
  private:
   Status ApplyAndLog(RelationId rel, UpdateEvent::Op op, const Tuple& t);
+  /// Folds a logged event into its relation's pending Δ-set (∪Δ).
+  void FoldIntoPending(const UpdateEvent& e);
   /// Runs the check phase mid-transaction when immediate mode is on.
   Status MaybeImmediateCheck();
 

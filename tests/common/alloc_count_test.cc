@@ -10,6 +10,7 @@
 #include <new>
 #include <unordered_map>
 
+#include "bench_util/inventory.h"
 #include "common/column_table.h"
 #include "common/tuple.h"
 #include "common/value.h"
@@ -251,6 +252,45 @@ TEST(AllocCountTest, IsRecursiveIsALookup) {
   const bool recursive = engine.registry.IsRecursive(outer);
   EXPECT_EQ(AllocCount(), before) << "IsRecursive must not touch the heap";
   EXPECT_FALSE(recursive);
+}
+
+TEST(AllocCountTest, WarmGetFnDoesNotAllocate) {
+#if !DELTAMON_ALLOC_COUNTS_RELIABLE
+  GTEST_SKIP() << "allocation counting unreliable under sanitizers";
+#endif
+  // The keyed read-back a client issues after each commit walks the
+  // argument column's index directly: once the index exists, a read builds
+  // no scan pattern and no std::function.
+  Engine engine;
+  workload::InventoryConfig config;
+  config.num_items = 64;
+  Result<workload::InventorySchema> schema =
+      workload::BuildInventory(engine, config);
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  const Oid item = schema->items[17];
+  ASSERT_EQ(*workload::GetFn(engine, schema->quantity, item),
+            config.initial_quantity);
+
+  uint64_t before = AllocCount();
+  int64_t sum = 0;
+  for (int rep = 0; rep < 100; ++rep) {
+    Result<int64_t> q = workload::GetFn(engine, schema->quantity, item);
+    sum += q.ok() ? *q : -1;
+  }
+  EXPECT_EQ(AllocCount(), before) << "a warm GetFn must not touch the heap";
+  EXPECT_EQ(sum, 100 * config.initial_quantity);
+}
+
+TEST(AllocCountTest, WaveWithoutBuildsAllocatesNoBuildSideStore) {
+#if !DELTAMON_ALLOC_COUNTS_RELIABLE
+  GTEST_SKIP() << "allocation counting unreliable under sanitizers";
+#endif
+  // Every propagation wave opens a store of shared build sides; a wave of
+  // one-row differentials picks probe joins and builds nothing, so the
+  // store must cost it nothing.
+  uint64_t before = AllocCount();
+  { objectlog::BuildSideStore store; }
+  EXPECT_EQ(AllocCount(), before) << "an unused store must not touch the heap";
 }
 
 /// An oltp_net-shaped partial differential over a small inventory:

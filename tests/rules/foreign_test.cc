@@ -269,6 +269,51 @@ TEST(ActivationInfluentsTest, UndefinedDerivedRelationIsNotFound) {
   EXPECT_EQ(engine.rules.Activate(*rule).code(), StatusCode::kNotFound);
 }
 
+TEST(ActivationInfluentsTest, ClauseDefinedAfterActivationIsMonitored) {
+  // cnd(x) <- q(x, y), y > 5 is active when a second clause,
+  // cnd(x) <- r(x, y), y > 5, is defined: the next check phase monitors r
+  // and sees the transaction's write to it, in either monitoring mode.
+  for (MonitorMode mode : {MonitorMode::kIncremental, MonitorMode::kNaive}) {
+    Engine engine;
+    engine.rules.SetMode(mode);
+    Catalog& cat = engine.db.catalog();
+    const FunctionSignature pair{{IntCol()}, {IntCol()}};
+    RelationId q = *cat.CreateStoredFunction("q", pair);
+    RelationId r = *cat.CreateStoredFunction("r", pair);
+    RelationId cnd = *cat.CreateDerivedFunction(
+        "cnd_over", FunctionSignature{{}, {IntCol()}});
+    auto define_over_five = [&](RelationId read) {
+      Clause c;
+      c.head_relation = cnd;
+      c.num_vars = 2;
+      c.head_args = {Term::Var(0)};
+      c.body = {Literal::Relation(read, {Term::Var(0), Term::Var(1)}),
+                Literal::Compare(CompareOp::kGt, Term::Var(1),
+                                 Term::Const(Value(int64_t{5})))};
+      return engine.registry.Define(cnd, std::move(c), cat);
+    };
+    ASSERT_TRUE(define_over_five(q).ok());
+    std::vector<Tuple> fired;
+    auto rule = engine.rules.CreateRule(
+        "over", cnd,
+        [&fired](Database&, const Tuple&, const std::vector<Tuple>& items) {
+          fired.insert(fired.end(), items.begin(), items.end());
+          return Status::OK();
+        });
+    ASSERT_TRUE(rule.ok());
+    ASSERT_TRUE(engine.rules.Activate(*rule).ok());
+    ASSERT_TRUE(define_over_five(r).ok());
+
+    ASSERT_TRUE(engine.db.Set(r, Tuple{Value(int64_t{1})},
+                              Tuple{Value(int64_t{10})})
+                    .ok());
+    ASSERT_TRUE(engine.db.Commit().ok());
+    EXPECT_TRUE(engine.db.IsMonitored(r));
+    EXPECT_EQ(engine.rules.last_check().rule_firings, 1u);
+    EXPECT_EQ(fired, std::vector<Tuple>{Tuple{Value(int64_t{1})}});
+  }
+}
+
 TEST(ForeignFunctionEvalTest, OldStateByInjectedDeltaRollback) {
   Engine engine;
   Catalog& cat = engine.db.catalog();
