@@ -85,7 +85,7 @@ void BM_SpanRingSink(benchmark::State& state) {
     span.AddField("value", 1);
   }
   obs::SetTraceSink(nullptr);
-  state.counters["dropped"] = static_cast<double>(ring.dropped_events());
+  state.counters["dropped"] = static_cast<double>(ring.dropped_records());
 }
 BENCHMARK(BM_SpanRingSink);
 

@@ -487,14 +487,14 @@ Status Session::ExecTrace(const TraceStmt& stmt, QueryResult* last) {
 
   const std::string path =
       stmt.path.empty() ? std::string("deltamon_trace.json") : stmt.path;
-  DELTAMON_RETURN_IF_ERROR(obs::WriteChromeTrace(ring.events(), path));
+  const auto read = ring.Read();
+  DELTAMON_RETURN_IF_ERROR(obs::WriteChromeTrace(read.records, path));
   last->report += "TRACE " + path + "\n";
-  if (ring.dropped_events() > 0) {
-    last->report += "(ring overflow: " +
-                    std::to_string(ring.dropped_events()) +
+  if (read.dropped > 0) {
+    last->report += "(ring overflow: " + std::to_string(read.dropped) +
                     " events dropped)\n";
   }
-  last->report += obs::FormatSpanTree(ring.events());
+  last->report += obs::FormatSpanTree(read.records);
   return Status::OK();
 }
 
@@ -541,10 +541,10 @@ Status Session::ExecShowSlow(QueryResult* last) {
 
 Status Session::ExecShowProvenance(QueryResult* last) {
   if (!DELTAMON_OBS_ENABLED) return ObsDisabled("show provenance");
-  const auto& log = obs::GlobalProvenanceLog();
-  last->report += obs::FormatProvenance(log.Snapshot(), log.enabled(),
-                                        log.total_records(),
-                                        log.dropped_records());
+  const auto read = obs::GlobalProvenanceLog().Read();
+  last->report +=
+      obs::FormatProvenance(read.records, read.enabled, read.total,
+                            read.dropped);
   return Status::OK();
 }
 
@@ -557,8 +557,8 @@ Status Session::ExecExplainFiring(const ExplainFiringStmt& stmt,
     std::shared_lock lock(gate());
     DELTAMON_RETURN_IF_ERROR(engine_.rules.FindRule(stmt.rule).status());
   }
-  const auto& log = obs::GlobalProvenanceLog();
-  const std::vector<obs::FiringRecord> records = log.Snapshot();
+  const auto read = obs::GlobalProvenanceLog().Read();
+  const std::vector<obs::FiringRecord>& records = read.records;
   const obs::FiringRecord* hit = nullptr;
   int64_t remaining = stmt.nth;
   for (auto it = records.rbegin(); it != records.rend(); ++it) {
@@ -571,7 +571,7 @@ Status Session::ExecExplainFiring(const ExplainFiringStmt& stmt,
   if (hit == nullptr) {
     std::string msg = "no recorded firing of rule '" + stmt.rule + "'";
     if (stmt.nth > 1) msg += " at depth " + std::to_string(stmt.nth);
-    if (!log.enabled()) {
+    if (!read.enabled) {
       msg += " (provenance is off; `set provenance on;` first)";
     }
     return Status::NotFound(std::move(msg));
@@ -606,14 +606,13 @@ Status Session::ExecExplainFiring(const ExplainFiringStmt& stmt,
 
 Status Session::ExecDumpWaves(const DumpWavesStmt& stmt, QueryResult* last) {
   if (!DELTAMON_OBS_ENABLED) return ObsDisabled("dump waves");
-  const auto& recorder = obs::GlobalWaveRecorder();
-  const std::vector<obs::WaveRecord> waves = recorder.Snapshot();
-  const obs::Json doc = obs::WaveFileJson(
-      waves, recorder.enabled(), recorder.capacity(),
-      recorder.total_records(), recorder.dropped_records());
+  const auto read = obs::GlobalWaveRecorder().Read();
+  const obs::Json doc = obs::WaveFileJson(read.records, read.enabled,
+                                          read.capacity, read.total,
+                                          read.dropped);
   DELTAMON_RETURN_IF_ERROR(obs::WriteTextFile(stmt.path, doc.Dump()));
   last->report += "WAVES " + stmt.path + " (" +
-                  std::to_string(waves.size()) + " waves)\n";
+                  std::to_string(read.records.size()) + " waves)\n";
   return Status::OK();
 }
 

@@ -68,8 +68,9 @@ Result<amosql::QueryResult> Executor::Execute(amosql::Session& session,
       slow.statement = source;
       slow.ok = r.ok();
       slow.elapsed_ns = exec_ns;
-      slow.span_tree = obs::FormatSpanTree(ring->events());
-      slow.chrome_trace = obs::ChromeTraceJson(ring->events());
+      const std::vector<obs::TraceEvent> events = ring->Snapshot();
+      slow.span_tree = obs::FormatSpanTree(events);
+      slow.chrome_trace = obs::ChromeTraceJson(events);
       slow.profile_text = profile.Format(/*include_time=*/true);
       slow.profile_json = profile.ToJson();
       obs::SlowLog::Global().Record(std::move(slow));

@@ -47,14 +47,6 @@ std::string QueryParam(std::string_view query, std::string_view key) {
   return std::string();
 }
 
-std::string DebugRequestsBody() {
-  obs::RequestRecorder& recorder = obs::GlobalRequestRecorder();
-  return obs::FlightRecorderJson(recorder.Snapshot(), recorder.capacity(),
-                                 recorder.total_records(),
-                                 recorder.dropped_records())
-      .Dump();
-}
-
 }  // namespace
 
 std::string MetricsBody() {
@@ -94,34 +86,33 @@ std::string HandleAdminRequest(std::string_view request,
   }
   if (path == "/debug/requests") {
     // Ring health in headers so a `curl -I` (or a scraper that only wants
-    // the counters) need not parse the body.
-    obs::RequestRecorder& recorder = obs::GlobalRequestRecorder();
+    // the counters) need not parse the body; both come from one read.
+    const auto read = obs::GlobalRequestRecorder().Read();
     const std::string headers =
-        "X-Deltamon-Flight-Capacity: " + std::to_string(recorder.capacity()) +
-        "\r\nX-Deltamon-Flight-Total: " +
-        std::to_string(recorder.total_records()) +
-        "\r\nX-Deltamon-Flight-Dropped: " +
-        std::to_string(recorder.dropped_records()) + "\r\n";
-    return HttpResponse(200, "OK", "application/json", DebugRequestsBody(),
+        "X-Deltamon-Flight-Capacity: " + std::to_string(read.capacity) +
+        "\r\nX-Deltamon-Flight-Total: " + std::to_string(read.total) +
+        "\r\nX-Deltamon-Flight-Dropped: " + std::to_string(read.dropped) +
+        "\r\n";
+    return HttpResponse(200, "OK", "application/json",
+                        obs::FlightRecorderJson(read.records, read.capacity,
+                                                read.total, read.dropped)
+                            .Dump(),
                         headers);
   }
   if (path == "/debug/provenance") {
-    const auto& log = obs::GlobalProvenanceLog();
+    const auto read = obs::GlobalProvenanceLog().Read();
     return HttpResponse(200, "OK", "application/json",
-                        obs::ProvenanceJson(log.Snapshot(), log.enabled(),
-                                            log.capacity(),
-                                            log.total_records(),
-                                            log.dropped_records())
+                        obs::ProvenanceJson(read.records, read.enabled,
+                                            read.capacity, read.total,
+                                            read.dropped)
                             .Dump());
   }
   if (path == "/debug/waves") {
-    const auto& recorder = obs::GlobalWaveRecorder();
+    const auto read = obs::GlobalWaveRecorder().Read();
     return HttpResponse(200, "OK", "application/json",
-                        obs::WaveFileJson(recorder.Snapshot(),
-                                          recorder.enabled(),
-                                          recorder.capacity(),
-                                          recorder.total_records(),
-                                          recorder.dropped_records())
+                        obs::WaveFileJson(read.records, read.enabled,
+                                          read.capacity, read.total,
+                                          read.dropped)
                             .Dump());
   }
   if (path == "/debug/requests/trace") {

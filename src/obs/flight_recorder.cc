@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "obs/span.h"
+
 namespace deltamon::obs {
 
 namespace {
@@ -18,20 +20,6 @@ std::string FormatMs(uint64_t ns) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f ms", static_cast<double>(ns) / 1e6);
   return buf;
-}
-
-/// One complete ("ph":"X") Chrome trace event.
-Json ChromeEvent(const char* name, uint64_t start_ns, uint64_t dur_ns,
-                 uint64_t min_ns, uint64_t tid) {
-  Json out = Json::Object();
-  out.Set("name", name);
-  out.Set("cat", "net");
-  out.Set("ph", "X");
-  out.Set("ts", static_cast<double>(start_ns - min_ns) / 1000.0);
-  out.Set("dur", static_cast<double>(dur_ns) / 1000.0);
-  out.Set("pid", 1);
-  out.Set("tid", static_cast<int64_t>(tid));
-  return out;
 }
 
 }  // namespace
@@ -100,30 +88,6 @@ Json RequestRecord::ToJson() const {
   return out;
 }
 
-void FlightRecorder::Record(RequestRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  total_records_.fetch_add(1, std::memory_order_relaxed);
-  if (capacity_ == 0) {
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (records_.size() == capacity_) {
-    records_.pop_front();
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-  }
-  records_.push_back(std::move(record));
-}
-
-std::vector<RequestRecord> FlightRecorder::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<RequestRecord>(records_.begin(), records_.end());
-}
-
-void FlightRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-}
-
 namespace {
 std::atomic<size_t> g_flight_capacity{256};
 }  // namespace
@@ -159,9 +123,10 @@ Json RequestsChromeTraceJson(const std::vector<RequestRecord>& records) {
   }
   Json events = Json::Array();
   for (const RequestRecord& r : records) {
-    const uint64_t tid = r.context.connection_id;
-    Json request =
-        ChromeEvent("request", r.enqueue_ns, r.TotalNs(), min_ns, tid);
+    const int64_t tid = static_cast<int64_t>(r.context.connection_id);
+    Json request = ChromeEvent("request", "net",
+                               static_cast<int64_t>(r.enqueue_ns - min_ns),
+                               static_cast<int64_t>(r.TotalNs()), tid);
     Json args = Json::Object();
     args.Set("trace_id", static_cast<int64_t>(r.context.trace_id));
     args.Set("statement_ordinal",
@@ -169,17 +134,15 @@ Json RequestsChromeTraceJson(const std::vector<RequestRecord>& records) {
     args.Set("statement", r.statement);
     request.Set("args", std::move(args));
     events.Append(std::move(request));
-    if (r.dequeue_ns != 0) {
-      events.Append(ChromeEvent("queue_wait", r.enqueue_ns, r.QueueWaitNs(),
-                                min_ns, tid));
-    }
-    if (r.exec_end_ns != 0) {
-      events.Append(
-          ChromeEvent("execute", r.dequeue_ns, r.ExecNs(), min_ns, tid));
-    }
+    auto phase = [&](const char* name, uint64_t start_ns, uint64_t dur_ns) {
+      events.Append(ChromeEvent(name, "net",
+                                static_cast<int64_t>(start_ns - min_ns),
+                                static_cast<int64_t>(dur_ns), tid));
+    };
+    if (r.dequeue_ns != 0) phase("queue_wait", r.enqueue_ns, r.QueueWaitNs());
+    if (r.exec_end_ns != 0) phase("execute", r.dequeue_ns, r.ExecNs());
     if (r.reply_flushed_ns != 0) {
-      events.Append(ChromeEvent("reply_write", r.reply_queued_ns,
-                                r.ReplyWriteNs(), min_ns, tid));
+      phase("reply_write", r.reply_queued_ns, r.ReplyWriteNs());
     }
   }
   Json doc = Json::Object();
@@ -210,48 +173,29 @@ SlowLog& SlowLog::Global() {
   return *log;
 }
 
-void SlowLog::Record(SlowRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  total_records_.fetch_add(1, std::memory_order_relaxed);
-  if (records_.size() == capacity_) {
-    records_.pop_front();
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-  }
-  records_.push_back(std::move(record));
-}
-
-std::vector<SlowRecord> SlowLog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<SlowRecord>(records_.begin(), records_.end());
-}
-
-void SlowLog::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-}
-
 Json SlowLog::ToJson() const {
+  const LogRead<SlowRecord> read = Read();
   Json entries = Json::Array();
-  for (const SlowRecord& r : Snapshot()) entries.Append(r.ToJson());
+  for (const SlowRecord& r : read.records) entries.Append(r.ToJson());
   Json out = Json::Object();
   out.Set("threshold_ns", static_cast<int64_t>(threshold_ns()));
-  out.Set("capacity", static_cast<int64_t>(capacity_));
-  out.Set("total_records", static_cast<int64_t>(total_records()));
-  out.Set("dropped_records", static_cast<int64_t>(dropped_records()));
+  out.Set("capacity", static_cast<int64_t>(read.capacity));
+  out.Set("total_records", static_cast<int64_t>(read.total));
+  out.Set("dropped_records", static_cast<int64_t>(read.dropped));
   out.Set("slow", std::move(entries));
   return out;
 }
 
 std::string SlowLog::Format() const {
-  const std::vector<SlowRecord> records = Snapshot();
+  const LogRead<SlowRecord> read = Read();
   std::string out = "SLOW STATEMENTS (threshold ";
   out += threshold_ns() == 0 ? std::string("off") : FormatMs(threshold_ns());
-  out += ", " + std::to_string(records.size()) + " recorded";
-  if (dropped_records() > 0) {
-    out += ", " + std::to_string(dropped_records()) + " dropped";
+  out += ", " + std::to_string(read.records.size()) + " recorded";
+  if (read.dropped > 0) {
+    out += ", " + std::to_string(read.dropped) + " dropped";
   }
   out += ")\n";
-  for (const SlowRecord& r : records) {
+  for (const SlowRecord& r : read.records) {
     out += "[trace " + std::to_string(r.context.trace_id) + "] conn " +
            std::to_string(r.context.connection_id) + " stmt " +
            std::to_string(r.context.statement_ordinal) + ": " +

@@ -3,11 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/bounded_log.h"
 #include "obs/json.h"
 #include "obs/metrics.h"  // DELTAMON_OBS_ENABLED
 
@@ -19,17 +18,17 @@
 /// queued, reply flushed to the kernel. While the statement executes, its
 /// trace id is the worker thread's trace scope (obs/span.h), so every span
 /// it causes — on pool workers and the commit leader too — carries it.
-/// Completed records land in a fixed-capacity FlightRecorder ring served by
-/// the admin HTTP endpoints (/debug/requests, /debug/requests/trace), and
-/// statements over the --slow-statement-ms threshold additionally capture
-/// their full span tree + literal profile into the SlowLog (/debug/slow,
-/// `show slow;`).
+/// Completed records land in the FlightRecorder served by the admin HTTP
+/// endpoints (/debug/requests, /debug/requests/trace), and statements over
+/// the --slow-statement-ms threshold additionally capture their full span
+/// tree + literal profile into the SlowLog (/debug/slow, `show slow;`).
 ///
-/// Memory is strictly bounded: both the recorder and the slow log are
-/// rings, and every displaced entry bumps a dropped counter so truncation
-/// announces itself. Under -DDELTAMON_OBS=OFF the recorder compiles to the
-/// NullFlightRecorder (no ring, no clock reads, no ids) while the admin
-/// endpoints keep serving valid — empty — documents.
+/// Both are BoundedLogs (obs/bounded_log.h): memory is strictly bounded,
+/// every displaced entry is tallied, and each document is built from one
+/// locked read, so /debug/requests' headers and body agree. Under
+/// -DDELTAMON_OBS=OFF the process-wide recorder is the EmptyLog (no ring,
+/// no clock reads, no ids) while the admin endpoints keep serving valid —
+/// empty — documents.
 
 namespace deltamon::obs {
 
@@ -98,57 +97,14 @@ struct RequestRecord {
   Json ToJson() const;
 };
 
-/// Fixed-capacity ring of the most recent completed requests. One mutex
-/// around a deque: writers are worker threads completing a flush (a few
-/// appends per statement, far off the per-tuple hot path), readers are the
-/// admin thread and tests.
-class FlightRecorder {
- public:
-  explicit FlightRecorder(size_t capacity = 256) : capacity_(capacity) {}
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  void Record(RequestRecord record);
-  /// Oldest-to-newest copy of the ring.
-  std::vector<RequestRecord> Snapshot() const;
-  /// Records displaced by overflow since construction (survives Clear).
-  uint64_t dropped_records() const {
-    return dropped_records_.load(std::memory_order_relaxed);
-  }
-  /// Records ever accepted.
-  uint64_t total_records() const {
-    return total_records_.load(std::memory_order_relaxed);
-  }
-  size_t capacity() const { return capacity_; }
-  void Clear();
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::atomic<uint64_t> dropped_records_{0};
-  std::atomic<uint64_t> total_records_{0};
-  std::deque<RequestRecord> records_;
-};
-
-/// Compiled-out twin: every method folds away, so OBS=OFF servers carry no
-/// ring, take no locks, and read no clocks — while /debug/requests still
-/// serves a valid empty document.
-struct NullFlightRecorder {
-  NullFlightRecorder() = default;
-  explicit NullFlightRecorder(size_t) {}
-  void Record(const RequestRecord&) {}
-  std::vector<RequestRecord> Snapshot() const { return {}; }
-  uint64_t dropped_records() const { return 0; }
-  uint64_t total_records() const { return 0; }
-  size_t capacity() const { return 0; }
-  void Clear() {}
-};
-
-#if DELTAMON_OBS_ENABLED
-using RequestRecorder = FlightRecorder;
-#else
-using RequestRecorder = NullFlightRecorder;
-#endif
+/// The most recent completed requests. Writers are worker threads
+/// completing a flush (one append per statement); readers are the admin
+/// thread and tests.
+using FlightRecorder = BoundedLog<RequestRecord>;
+/// The process-wide recorder's type: empty under -DDELTAMON_OBS=OFF, so
+/// servers carry no ring, take no lock and read no clock, while
+/// /debug/requests still serves a valid empty document.
+using RequestRecorder = ProcessLog<RequestRecord>;
 
 /// Sets the capacity the process-wide recorder is constructed with
 /// (deltamond --flight-records). Effective only if called before the
@@ -185,13 +141,14 @@ struct SlowRecord {
   Json ToJson() const;
 };
 
-/// Bounded ring of statements that exceeded the slow threshold. A process
-/// global (like Registry::Global) so `show slow;` works from any session
-/// — including a local shell attached to the same engine — not just the
-/// connection that ran the slow statement. threshold_ns()==0 disables
-/// capture entirely; the executor checks it before arming any
-/// instrumentation, so an idle slow log costs one relaxed load.
-class SlowLog {
+/// The statements that exceeded the slow threshold, bounded at 32. A
+/// process global (like Registry::Global) so `show slow;` works from any
+/// session — including a local shell attached to the same engine — not
+/// just the connection that ran the slow statement. threshold_ns()==0
+/// disables capture entirely; the executor checks it before arming any
+/// instrumentation, so an idle slow log costs one relaxed load. Real in
+/// every build: the slow log is server plumbing.
+class SlowLog : public BoundedLog<SlowRecord> {
  public:
   static SlowLog& Global();
 
@@ -202,17 +159,6 @@ class SlowLog {
     threshold_ns_.store(ns, std::memory_order_relaxed);
   }
 
-  void Record(SlowRecord record);
-  std::vector<SlowRecord> Snapshot() const;
-  uint64_t total_records() const {
-    return total_records_.load(std::memory_order_relaxed);
-  }
-  uint64_t dropped_records() const {
-    return dropped_records_.load(std::memory_order_relaxed);
-  }
-  size_t capacity() const { return capacity_; }
-  void Clear();
-
   /// The /debug/slow document.
   Json ToJson() const;
   /// `show slow;` report: threshold, entry count, then per entry the
@@ -220,14 +166,9 @@ class SlowLog {
   std::string Format() const;
 
  private:
-  SlowLog() = default;
+  SlowLog() : BoundedLog(32) {}
 
-  const size_t capacity_ = 32;
   std::atomic<uint64_t> threshold_ns_{0};
-  mutable std::mutex mu_;
-  std::atomic<uint64_t> dropped_records_{0};
-  std::atomic<uint64_t> total_records_{0};
-  std::deque<SlowRecord> records_;
 };
 
 }  // namespace deltamon::obs

@@ -20,36 +20,8 @@ Json FiringRecord::ToJson() const {
   return out;
 }
 
-void ProvenanceLog::Record(FiringRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record.seq = total_records_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (capacity_ == 0) {
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (records_.size() == capacity_) {
-    records_.pop_front();
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-  }
-  records_.push_back(std::move(record));
-}
-
-std::vector<FiringRecord> ProvenanceLog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<FiringRecord>(records_.begin(), records_.end());
-}
-
-void ProvenanceLog::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-  // A cleared ring is a fresh recording: seq restarts at 1 and the
-  // overflow counter describes only the current capture session.
-  total_records_.store(0, std::memory_order_relaxed);
-  dropped_records_.store(0, std::memory_order_relaxed);
-}
-
-FiringProvenance& GlobalProvenanceLog() {
-  static FiringProvenance* log = new FiringProvenance();
+ProcessLog<FiringRecord>& GlobalProvenanceLog() {
+  static auto* log = new ProcessLog<FiringRecord>(128);
   return *log;
 }
 

@@ -116,7 +116,20 @@ int64_t SpanField(const TraceEvent& event, const char* key, int64_t fallback) {
   return fallback;
 }
 
-Json ChromeTraceJson(const std::deque<TraceEvent>& events) {
+Json ChromeEvent(std::string name, std::string category, int64_t ts_ns,
+                 int64_t dur_ns, int64_t tid) {
+  Json out = Json::Object();
+  out.Set("name", std::move(name));
+  out.Set("cat", std::move(category));
+  out.Set("ph", "X");
+  out.Set("ts", static_cast<double>(ts_ns) / 1000.0);
+  out.Set("dur", static_cast<double>(dur_ns) / 1000.0);
+  out.Set("pid", 1);
+  out.Set("tid", tid);
+  return out;
+}
+
+Json ChromeTraceJson(const std::vector<TraceEvent>& events) {
   // Normalize timestamps so the trace starts near zero — Perfetto handles
   // raw steady_clock values, but small numbers read better.
   int64_t min_start = 0;
@@ -131,16 +144,10 @@ Json ChromeTraceJson(const std::deque<TraceEvent>& events) {
   Json trace_events = Json::Array();
   for (const TraceEvent& e : events) {
     if (!IsSpanEvent(e)) continue;
-    Json out = Json::Object();
-    out.Set("name", e.name);
-    out.Set("cat", e.category);
-    out.Set("ph", "X");
-    out.Set("ts",
-            static_cast<double>(SpanField(e, kStartKey, 0) - min_start) /
-                1000.0);
-    out.Set("dur", static_cast<double>(SpanField(e, kDurKey, 0)) / 1000.0);
-    out.Set("pid", 1);
-    out.Set("tid", SpanField(e, kThreadKey, 0));
+    Json out = ChromeEvent(e.name, e.category,
+                           SpanField(e, kStartKey, 0) - min_start,
+                           SpanField(e, kDurKey, 0),
+                           SpanField(e, kThreadKey, 0));
     Json args = Json::Object();
     args.Set(kSpanIdKey, SpanField(e, kSpanIdKey, 0));
     args.Set(kParentKey, SpanField(e, kParentKey, 0));
@@ -157,12 +164,12 @@ Json ChromeTraceJson(const std::deque<TraceEvent>& events) {
   return doc;
 }
 
-Status WriteChromeTrace(const std::deque<TraceEvent>& events,
+Status WriteChromeTrace(const std::vector<TraceEvent>& events,
                         const std::string& path) {
   return WriteTextFile(path, ChromeTraceJson(events).Dump());
 }
 
-std::string FormatSpanTree(const std::deque<TraceEvent>& events) {
+std::string FormatSpanTree(const std::vector<TraceEvent>& events) {
   struct Record {
     const TraceEvent* event = nullptr;
     int64_t start = 0;

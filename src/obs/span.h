@@ -2,7 +2,6 @@
 #define DELTAMON_OBS_SPAN_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -143,14 +142,21 @@ bool IsSpanEvent(const TraceEvent& event);
 /// Looks up an integer field by key; `fallback` when absent.
 int64_t SpanField(const TraceEvent& event, const char* key, int64_t fallback);
 
+/// One complete ("ph":"X") Chrome trace event with keys name, cat, ph, ts,
+/// dur, pid, tid; a caller with arguments sets "args" last. `ts_ns` is
+/// relative to the document's earliest event; both times are rendered in
+/// microseconds.
+Json ChromeEvent(std::string name, std::string category, int64_t ts_ns,
+                 int64_t dur_ns, int64_t tid);
+
 /// Chrome/Perfetto trace_event document: every span event becomes one
 /// complete ("ph":"X") event with microsecond timestamps normalized to the
 /// earliest span start. Non-span events are skipped (they carry no
 /// timestamps). Loadable in chrome://tracing and ui.perfetto.dev.
-Json ChromeTraceJson(const std::deque<TraceEvent>& events);
+Json ChromeTraceJson(const std::vector<TraceEvent>& events);
 
 /// Serializes ChromeTraceJson(events) to `path`.
-Status WriteChromeTrace(const std::deque<TraceEvent>& events,
+Status WriteChromeTrace(const std::vector<TraceEvent>& events,
                         const std::string& path);
 
 /// Indented parent/child rendering of the recorded spans, children in
@@ -162,7 +168,7 @@ Status WriteChromeTrace(const std::deque<TraceEvent>& events,
 ///
 /// Spans whose parent was dropped from the ring (or ended outside it)
 /// are printed as roots. "(no spans recorded)" when there are none.
-std::string FormatSpanTree(const std::deque<TraceEvent>& events);
+std::string FormatSpanTree(const std::vector<TraceEvent>& events);
 
 }  // namespace deltamon::obs
 

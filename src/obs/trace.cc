@@ -22,18 +22,7 @@ std::string TraceEvent::ToString() const {
 }
 
 void RingTraceSink::OnEvent(const TraceEvent& event) {
-  if (capacity_ == 0) {
-    dropped_events_.fetch_add(1, std::memory_order_relaxed);
-    DELTAMON_OBS_COUNT("obs.trace.dropped_events", 1);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (events_.size() == capacity_) {
-    events_.pop_front();
-    dropped_events_.fetch_add(1, std::memory_order_relaxed);
-    DELTAMON_OBS_COUNT("obs.trace.dropped_events", 1);
-  }
-  events_.push_back(event);
+  if (Record(event)) DELTAMON_OBS_COUNT("obs.trace.dropped_events", 1);
 }
 
 void SetTraceSink(TraceSink* sink) {

@@ -1,13 +1,12 @@
 #ifndef DELTAMON_OBS_TRACE_H_
 #define DELTAMON_OBS_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/bounded_log.h"
 
 namespace deltamon::obs {
 
@@ -34,36 +33,17 @@ class TraceSink {
   virtual void OnEvent(const TraceEvent& event) = 0;
 };
 
-/// Keeps the most recent `capacity` events in memory (older events are
-/// dropped), for tests, the PROFILE command, and TRACE recording. Overflow
-/// is not silent: every displaced event bumps dropped_events() and the
-/// global `obs.trace.dropped_events` counter (visible in SHOW METRICS), so
-/// a truncated trace announces itself.
-/// OnEvent is internally synchronized: parallel propagation emits spans
-/// from worker threads. Reading events() while another thread still emits
-/// is not synchronized — consumers (tests, TRACE, the profiler) read only
-/// after the traced work has joined.
-class RingTraceSink : public TraceSink {
+/// Keeps the most recent `capacity` events in a BoundedLog, for tests, the
+/// TRACE statement and slow-statement capture. Overflow is not silent:
+/// every displaced event bumps dropped_records() and the global
+/// `obs.trace.dropped_events` counter (visible in SHOW METRICS), so a
+/// truncated trace announces itself. OnEvent is synchronized: parallel
+/// propagation emits spans from worker threads.
+class RingTraceSink final : public TraceSink, public BoundedLog<TraceEvent> {
  public:
-  explicit RingTraceSink(size_t capacity = 1024) : capacity_(capacity) {}
+  explicit RingTraceSink(size_t capacity = 1024) : BoundedLog(capacity) {}
 
   void OnEvent(const TraceEvent& event) override;
-
-  const std::deque<TraceEvent>& events() const { return events_; }
-  /// Events displaced by overflow since construction (survives Clear).
-  uint64_t dropped_events() const {
-    return dropped_events_.load(std::memory_order_relaxed);
-  }
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    events_.clear();
-  }
-
- private:
-  size_t capacity_;
-  std::mutex mu_;
-  std::atomic<uint64_t> dropped_events_{0};
-  std::deque<TraceEvent> events_;
 };
 
 /// Process-wide sink registration: receives the spans of every thread that

@@ -213,36 +213,8 @@ Json WaveRecord::OutcomeJson() const {
   return out;
 }
 
-void WaveRecorder::Record(WaveRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record.seq = total_records_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (capacity_ == 0) {
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (records_.size() == capacity_) {
-    records_.pop_front();
-    dropped_records_.fetch_add(1, std::memory_order_relaxed);
-  }
-  records_.push_back(std::move(record));
-}
-
-std::vector<WaveRecord> WaveRecorder::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<WaveRecord>(records_.begin(), records_.end());
-}
-
-void WaveRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-  // A cleared ring is a fresh recording: seq restarts at 1 and the
-  // overflow counter describes only the current capture session.
-  total_records_.store(0, std::memory_order_relaxed);
-  dropped_records_.store(0, std::memory_order_relaxed);
-}
-
-WaveLog& GlobalWaveRecorder() {
-  static WaveLog* recorder = new WaveLog();
+ProcessLog<WaveRecord>& GlobalWaveRecorder() {
+  static auto* recorder = new ProcessLog<WaveRecord>(64);
   return *recorder;
 }
 

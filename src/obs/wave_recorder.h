@@ -1,16 +1,13 @@
 #ifndef DELTAMON_OBS_WAVE_RECORDER_H_
 #define DELTAMON_OBS_WAVE_RECORDER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/tuple.h"
+#include "obs/bounded_log.h"
 #include "obs/json.h"
-#include "obs/metrics.h"  // DELTAMON_OBS_ENABLED
 
 /// --- Wave capture (black-box recorder) --------------------------------------
 ///
@@ -18,11 +15,12 @@
 /// snapshots every check-phase propagation round: the influent
 /// base-relation Δ-sets it consumed, the engine settings it ran with
 /// (threads, kernels), the net root Δ-sets it produced, and the rule
-/// firings that followed. The last K waves live in a bounded ring served
-/// by /debug/waves and dumped to a `deltamon.wave.v1` file by
-/// `dump waves "path";` — which tools/deltamon-replay re-executes against
-/// a rebuilt engine, asserting bit-identical outcomes (the deterministic
-/// black-box recorder: docs/observability.md).
+/// firings that followed. The last 64 waves live in a BoundedLog
+/// (obs/bounded_log.h) served by /debug/waves and dumped to a
+/// `deltamon.wave.v1` file by `dump waves "path";` — which
+/// tools/deltamon-replay re-executes against a rebuilt engine, asserting
+/// bit-identical outcomes (the deterministic black-box recorder:
+/// docs/observability.md). The log owns the `set wave_capture` flag.
 ///
 /// Rows are stored as real Tuples (the obs layer sits above common) and
 /// serialized as typed cells, so the file round-trips every Value kind —
@@ -58,7 +56,7 @@ struct WaveRelationDelta {
 
 /// One captured propagation round of a check phase.
 struct WaveRecord {
-  uint64_t seq = 0;  ///< assigned by WaveRecorder::Record; 1-based
+  uint64_t seq = 0;  ///< assigned by BoundedLog::Record; 1-based
   uint64_t trace_id = 0;
   uint64_t version = 0;  ///< commit version; 0 outside the txn manager
   uint64_t round = 0;    ///< 1-based round within the check phase; rounds
@@ -83,61 +81,14 @@ struct WaveRecord {
   Json OutcomeJson() const;
 };
 
-/// Bounded ring of the most recent waves plus the enable flag; same
-/// locking discipline as the FlightRecorder (appends happen once per
-/// propagation round, far off the per-tuple hot path).
-class WaveRecorder {
- public:
-  explicit WaveRecorder(size_t capacity = 64) : capacity_(capacity) {}
-  WaveRecorder(const WaveRecorder&) = delete;
-  WaveRecorder& operator=(const WaveRecorder&) = delete;
+/// The most recent captured waves. Its flag is `set wave_capture on|off`;
+/// appends happen once per propagation round, far off the per-tuple hot
+/// path.
+using WaveRecorder = BoundedLog<WaveRecord>;
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Appends, assigning record.seq (monotonic, survives ring overflow).
-  void Record(WaveRecord record);
-  std::vector<WaveRecord> Snapshot() const;
-  uint64_t total_records() const {
-    return total_records_.load(std::memory_order_relaxed);
-  }
-  uint64_t dropped_records() const {
-    return dropped_records_.load(std::memory_order_relaxed);
-  }
-  size_t capacity() const { return capacity_; }
-  void Clear();
-
- private:
-  const size_t capacity_;
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;
-  std::atomic<uint64_t> total_records_{0};
-  std::atomic<uint64_t> dropped_records_{0};
-  std::deque<WaveRecord> records_;
-};
-
-/// Compiled-out twin; /debug/waves keeps serving valid empty documents.
-struct NullWaveRecorder {
-  bool enabled() const { return false; }
-  void set_enabled(bool) {}
-  void Record(const WaveRecord&) {}
-  std::vector<WaveRecord> Snapshot() const { return {}; }
-  uint64_t total_records() const { return 0; }
-  uint64_t dropped_records() const { return 0; }
-  size_t capacity() const { return 0; }
-  void Clear() {}
-};
-
-#if DELTAMON_OBS_ENABLED
-using WaveLog = WaveRecorder;
-#else
-using WaveLog = NullWaveRecorder;
-#endif
-
-/// The process-wide recorder behind `dump waves` and /debug/waves.
-WaveLog& GlobalWaveRecorder();
+/// The process-wide recorder behind `dump waves` and /debug/waves; empty
+/// (and never enabled) under -DDELTAMON_OBS=OFF.
+ProcessLog<WaveRecord>& GlobalWaveRecorder();
 
 /// The `deltamon.wave.v1` document: {schema, enabled?, capacity,
 /// total_records, dropped_records, waves: [WaveRecord.ToJson()...]}.

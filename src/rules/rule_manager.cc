@@ -398,7 +398,7 @@ Status RuleManager::RunIncrementalRound(
   popts.pool = pool_.get();
   popts.profiler = profiler_;
   popts.kernels = kernels_enabled_;
-  popts.lineage = provenance_enabled_;
+  popts.lineage = provenance_enabled();
   // Persist per-worker caches across waves so retained indexed extents
   // (recursive-fixpoint materializations over unchanged inputs) are
   // reused instead of recomputed. Propagate() resolves its effective
@@ -426,8 +426,8 @@ Status RuleManager::RunIncrementalRound(
       act.naive_extent = ApplyDelta(act.naive_extent, it->second);
     }
   }
-  if (provenance_enabled_) lineage_.Merge(std::move(result.lineage));
-  if (wave_capture_enabled_) {
+  if (popts.lineage) lineage_.Merge(std::move(result.lineage));
+  if (wave_capture_enabled()) {
     last_round_roots_ = std::move(result.root_deltas);
   }
   return Status::OK();
@@ -512,8 +512,11 @@ Status RuleManager::CheckPhase(Database& db) {
       size_t total = 0;
       for (const auto& [rel, d] : deltas) total += d.size();
       // Cost model: incremental work scales with the changed tuples, naive
-      // with the influent extents; switch near the crossover observed in
-      // bench/hybrid_crossover (changes above half the influent tuples).
+      // with the influent extents; switch to naive once the changes exceed
+      // half the influent tuples. That was the crossover bench/
+      // hybrid_crossover showed before the batch kernels. With them,
+      // incremental is faster at every point of that sweep and on fig. 7
+      // (EXPERIMENTS.md), so this switch now picks the slower mode.
       size_t influent_tuples = 0;
       std::unordered_set<RelationId> seen;
       for (const Activation& act : activations_) {
@@ -527,7 +530,7 @@ Status RuleManager::CheckPhase(Database& db) {
     }
     DELTAMON_RETURN_IF_ERROR(incremental ? RunIncrementalRound(db, deltas)
                                          : RunNaiveRound(db, deltas));
-    if (incremental && wave_capture_enabled_) {
+    if (incremental && wave_capture_enabled()) {
       open_wave.emplace();
       open_wave->trace_id = obs::CurrentTraceId();
       open_wave->version = commit_version_;
@@ -553,7 +556,7 @@ Status RuleManager::CheckPhase(Database& db) {
           open_wave->firings.push_back(rule.name + " " + t.ToString());
         }
       }
-      if (provenance_enabled_) {
+      if (provenance_enabled()) {
         obs::FiringRecord rec;
         rec.trace_id = obs::CurrentTraceId();
         rec.version = commit_version_;

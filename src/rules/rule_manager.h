@@ -157,25 +157,29 @@ class RuleManager {
   /// waves capture delta lineage (PropagationOptions::lineage) and every
   /// firing records its instances' lineage trees — stamped with the
   /// current trace id and commit version — into the global ProvenanceLog
-  /// behind `explain firing` / /debug/provenance. Forced off when
+  /// behind `explain firing` / /debug/provenance. The flag belongs to
+  /// that log, so it is process-wide, and it is constant-off when
   /// observability is compiled out (the session layer reports the error);
   /// off (the default) adds zero work to the check phase.
   void SetProvenanceEnabled(bool on) {
-    provenance_enabled_ = on && DELTAMON_OBS_ENABLED != 0;
-    obs::GlobalProvenanceLog().set_enabled(provenance_enabled_);
+    obs::GlobalProvenanceLog().set_enabled(on);
   }
-  bool provenance_enabled() const { return provenance_enabled_; }
+  bool provenance_enabled() const {
+    return obs::GlobalProvenanceLog().enabled();
+  }
 
   /// Wave capture (`set wave_capture on|off`): every incremental round is
   /// snapshotted — influent Δ-sets, settings, net root Δ-sets, firings —
   /// into the global WaveRecorder behind `dump waves` / /debug/waves,
-  /// replayable by tools/deltamon-replay. Forced off when observability is
-  /// compiled out.
+  /// replayable by tools/deltamon-replay. Like provenance, the flag
+  /// belongs to the process-wide log and is constant-off when
+  /// observability is compiled out.
   void SetWaveCaptureEnabled(bool on) {
-    wave_capture_enabled_ = on && DELTAMON_OBS_ENABLED != 0;
-    obs::GlobalWaveRecorder().set_enabled(wave_capture_enabled_);
+    obs::GlobalWaveRecorder().set_enabled(on);
   }
-  bool wave_capture_enabled() const { return wave_capture_enabled_; }
+  bool wave_capture_enabled() const {
+    return obs::GlobalWaveRecorder().enabled();
+  }
 
   /// Commit version the current check phase runs on behalf of. Like the
   /// profiler, this is attach/detach state owned by the commit leader: the
@@ -302,8 +306,6 @@ class RuleManager {
   obs::Profile* profiler_ = nullptr;
   core::MaterializedViewStore view_store_;
   bool view_store_ready_ = false;
-  bool provenance_enabled_ = false;
-  bool wave_capture_enabled_ = false;
   uint64_t commit_version_ = 0;
   CheckStats last_check_;
   std::vector<core::TraceEntry> last_trace_;

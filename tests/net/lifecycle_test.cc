@@ -1,6 +1,7 @@
 // Server lifecycle under adversarial clients: protocol violations over
 // real sockets, idle reaping, rules that outlive their creating
-// connection, admin HTTP endpoints, and clean start/connect/query/stop.
+// connection, disconnects while a commit is queued or leads the queue,
+// admin HTTP endpoints, and clean start/connect/query/stop.
 // This suite is meant to run under ASan and TSan (ctest label "net").
 
 #include <sys/socket.h>
@@ -9,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +22,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "objectlog/eval.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"  // DELTAMON_OBS_ENABLED
 #include "rules/engine.h"
@@ -611,6 +617,108 @@ TEST_F(ServerFixture, DisconnectWhileItsCommitIsQueuedKeepsServing) {
   }
   EXPECT_EQ(server_->active_connections(), 1)
       << "only the reader is still connected";
+  server_->Stop();
+}
+
+TEST_F(ServerFixture, DisconnectWhileItsCommitLeadsKeepsServing) {
+  // A client hangs up while its own commit leads the group-commit queue:
+  // the leader is inside CommitBatch, held there by a rule action that
+  // blocks until released. The commit still lands exactly once; its reply
+  // goes to a closed socket, and only that connection is torn down.
+  Catalog& catalog = engine_.db.catalog();
+  const ColumnType int_col{ValueKind::kInt, kInvalidTypeId};
+  RelationId f = *catalog.CreateStoredFunction(
+      "f", FunctionSignature{{int_col}, {int_col}});
+  RelationId hit =
+      *catalog.CreateDerivedFunction("hit", FunctionSignature{{}, {int_col}});
+  objectlog::Clause clause;
+  clause.head_relation = hit;
+  clause.num_vars = 1;
+  clause.head_args = {objectlog::Term::Var(0)};
+  clause.body = {objectlog::Literal::Relation(
+      f, {objectlog::Term::Var(0), objectlog::Term::Const(Value(int64_t{2}))})};
+  ASSERT_TRUE(engine_.registry.Define(hit, std::move(clause), catalog).ok());
+  // Shared with the action, which runs on the leader's thread.
+  struct Latch {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool open = false;
+    std::atomic<int> firings{0};
+    void Open() {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+      cv.notify_all();
+    }
+  };
+  auto latch = std::make_shared<Latch>();
+  Result<rules::RuleId> rule = engine_.rules.CreateRule(
+      "block", hit,
+      [latch](Database&, const Tuple&, const std::vector<Tuple>&) {
+        latch->firings.fetch_add(1);
+        std::unique_lock<std::mutex> lock(latch->mu);
+        latch->cv.wait(lock, [&latch] { return latch->open; });
+        return Status::OK();
+      });
+  ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+  ASSERT_TRUE(engine_.rules.Activate(*rule).ok());
+  // Never leave the leader blocked, even when an assertion below fails.
+  struct Release {
+    std::shared_ptr<Latch> latch;
+    ~Release() { latch->Open(); }
+  } release{latch};
+
+  ServerOptions options;
+  options.enable_admin = false;
+  options.num_workers = 2;
+  StartServer(options);
+  Result<Client> reader = Client::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_TRUE(reader->Execute("select f(1);").ok());
+  const int connected = server_->active_connections();
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  {
+    Result<RawConn> conn = RawConn::Open(server_->port());
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(conn->Handshake().ok());
+    ASSERT_TRUE(conn->Send(FrameType::kQuery, "set f(1) = 2; commit;").ok());
+    while (latch->firings.load() < 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(latch->firings.load(), 1) << "the commit never reached it";
+  }  // closed while its commit leads the queue
+  latch->Open();
+
+  // The reader's snapshot may predate the commit's apply; poll until the
+  // committed value shows.
+  std::vector<std::string> rows;
+  while (true) {
+    Result<Client::Response> r = reader->Execute("select f(1);");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    rows = r->rows;
+    if (rows == std::vector<std::string>{"(2)"} ||
+        std::chrono::steady_clock::now() >= deadline) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(rows, std::vector<std::string>{"(2)"});
+  EXPECT_EQ(latch->firings.load(), 1) << "the commit must apply exactly once";
+
+  Result<Client::Response> later =
+      reader->Execute("set f(3) = 4; commit; select f(3);");
+  ASSERT_TRUE(later.ok()) << later.status().ToString();
+  EXPECT_EQ(later->rows, std::vector<std::string>{"(4)"});
+
+  while (server_->active_connections() != connected &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server_->active_connections(), connected)
+      << "only the reader is still connected";
+  EXPECT_EQ(latch->firings.load(), 1);
   server_->Stop();
 }
 

@@ -102,6 +102,14 @@ std::string HttpBody(const std::string& response) {
                                     : response.substr(split + 4);
 }
 
+/// The integer value of response header `name`; -1 when absent.
+int64_t HeaderValue(const std::string& response, const std::string& name) {
+  const size_t pos = response.find("\r\n" + name + ": ");
+  return pos == std::string::npos
+             ? -1
+             : std::stoll(response.substr(pos + name.size() + 4));
+}
+
 /// The request id from a reply's "-- trace <id>: ..." line; 0 when absent.
 uint64_t TraceIdOf(const std::string& report) {
   const size_t pos = report.find("-- trace ");
@@ -574,12 +582,13 @@ TEST_F(TracingFixture, EverySpanCarriesItsRequestsTraceId) {
   // the reads below.
   server_->Stop();
   obs::SetTraceSink(nullptr);
-  EXPECT_EQ(ring.dropped_events(), 0u);
+  EXPECT_EQ(ring.dropped_records(), 0u);
+  const std::vector<obs::TraceEvent> events = ring.Snapshot();
 
   std::unordered_map<int64_t, const obs::TraceEvent*> by_id;
   std::set<int64_t> statement_threads;
   std::vector<const obs::TraceEvent*> waves;
-  for (const obs::TraceEvent& e : ring.events()) {
+  for (const obs::TraceEvent& e : events) {
     // Spans are the only trace events.
     ASSERT_TRUE(obs::IsSpanEvent(e)) << e.ToString();
     by_id[obs::SpanField(e, "span_id", 0)] = &e;
@@ -593,7 +602,7 @@ TEST_F(TracingFixture, EverySpanCarriesItsRequestsTraceId) {
   };
   size_t in_statements = 0;
   size_t on_pool = 0;
-  for (const obs::TraceEvent& e : ring.events()) {
+  for (const obs::TraceEvent& e : events) {
     const int64_t trace_id = obs::SpanField(e, "trace_id", 0);
     // Nearest amosql.statement ancestor (the span itself included).
     const obs::TraceEvent* up = &e;
@@ -627,7 +636,8 @@ TEST_F(TracingFixture, EverySpanCarriesItsRequestsTraceId) {
 
 // TSan probe: worker threads completing requests write into the global
 // recorder and slow log while the admin thread renders /debug documents
-// from them. No server needed — this drives the exact shared state.
+// from them. No server needed — this drives the exact shared state. Each
+// /debug/requests response must agree with itself while writers run.
 TEST_F(TracingFixture, ConcurrentRecorderWritesAndAdminReadsAreClean) {
   obs::SlowLog::Global().set_threshold_ns(1);
   std::atomic<bool> stop{false};
@@ -661,6 +671,16 @@ TEST_F(TracingFixture, ConcurrentRecorderWritesAndAdminReadsAreClean) {
       const std::string requests =
           HandleAdminRequest("GET /debug/requests HTTP/1.1\r\n\r\n");
       EXPECT_NE(requests.find("HTTP/1.1 200"), std::string::npos);
+      // The headers and the body describe one read of the recorder, and
+      // that read holds exactly the records its tallies account for.
+      auto doc = obs::Json::Parse(HttpBody(requests));
+      ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+      const int64_t total = doc->Get("total_records")->as_int();
+      const int64_t dropped = doc->Get("dropped_records")->as_int();
+      EXPECT_EQ(HeaderValue(requests, "X-Deltamon-Flight-Total"), total);
+      EXPECT_EQ(HeaderValue(requests, "X-Deltamon-Flight-Dropped"), dropped);
+      EXPECT_EQ(static_cast<int64_t>(doc->Get("requests")->size()),
+                total - dropped);
       const std::string slow =
           HandleAdminRequest("GET /debug/slow HTTP/1.1\r\n\r\n");
       EXPECT_NE(slow.find("HTTP/1.1 200"), std::string::npos);

@@ -1,8 +1,9 @@
 /// Request tracing primitives: the trace-id mint, phase arithmetic on
-/// RequestRecord, the bounded FlightRecorder ring with its non-silent
-/// dropped counter, the /debug/requests and Chrome-trace JSON documents,
-/// the SlowLog ring + report formatter, and (when obs is compiled in) the
-/// thread-local request trace scope that stamps and routes every span.
+/// RequestRecord, the FlightRecorder log with its non-silent dropped
+/// counter and its compiled-out empty form, the /debug/requests and
+/// Chrome-trace JSON documents, the SlowLog + report formatter, and (when
+/// obs is compiled in) the thread-local request trace scope that stamps
+/// and routes every span.
 
 #include "obs/flight_recorder.h"
 
@@ -111,15 +112,19 @@ TEST(FlightRecorderTest, RingEvictsOldestAndCountsDrops) {
   EXPECT_EQ(recorder.capacity(), 4u);
 }
 
-TEST(FlightRecorderTest, ClearEmptiesTheRingButKeepsTheTallies) {
+TEST(FlightRecorderTest, ClearResetsTheRingAndTheTallies) {
+  // A cleared log is a fresh recording, so every read keeps
+  // records == total - dropped.
   FlightRecorder recorder(/*capacity=*/2);
   recorder.Record(MakeRecord(1));
   recorder.Record(MakeRecord(2));
   recorder.Record(MakeRecord(3));
   recorder.Clear();
   EXPECT_TRUE(recorder.Snapshot().empty());
-  EXPECT_EQ(recorder.total_records(), 3u);
-  EXPECT_EQ(recorder.dropped_records(), 1u);
+  EXPECT_EQ(recorder.total_records(), 0u);
+  EXPECT_EQ(recorder.dropped_records(), 0u);
+  recorder.Record(MakeRecord(4));
+  EXPECT_EQ(recorder.total_records(), 1u);
 }
 
 TEST(FlightRecorderTest, ZeroCapacityDropsEverything) {
@@ -131,9 +136,13 @@ TEST(FlightRecorderTest, ZeroCapacityDropsEverything) {
 }
 
 TEST(FlightRecorderTest, NullRecorderIsInertButValid) {
-  NullFlightRecorder recorder;
+  // The form -DDELTAMON_OBS=OFF gives the process-wide recorder.
+  EmptyLog<RequestRecord> recorder(/*capacity=*/256);
+  recorder.set_enabled(true);
   recorder.Record(RequestRecord{});
+  EXPECT_FALSE(recorder.enabled());
   EXPECT_TRUE(recorder.Snapshot().empty());
+  EXPECT_TRUE(recorder.Read().records.empty());
   EXPECT_EQ(recorder.total_records(), 0u);
   EXPECT_EQ(recorder.dropped_records(), 0u);
   EXPECT_EQ(recorder.capacity(), 0u);
@@ -307,12 +316,14 @@ TEST(TraceScopeTest, SpansInheritTheScope) {
   { Span untraced("net", "idle"); }
   SetTraceSink(previous);
 
-  ASSERT_EQ(global.events().size(), 2u);
-  EXPECT_EQ(SpanField(global.events()[0], "trace_id", 0), 1234);
+  const std::vector<TraceEvent> global_events = global.Snapshot();
+  ASSERT_EQ(global_events.size(), 2u);
+  EXPECT_EQ(SpanField(global_events[0], "trace_id", 0), 1234);
   // Outside a request, spans carry no trace_id field at all.
-  EXPECT_EQ(SpanField(global.events()[1], "trace_id", -1), -1);
-  ASSERT_EQ(captured.events().size(), 1u);
-  EXPECT_EQ(SpanField(captured.events()[0], "trace_id", 0), 99);
+  EXPECT_EQ(SpanField(global_events[1], "trace_id", -1), -1);
+  const std::vector<TraceEvent> captured_events = captured.Snapshot();
+  ASSERT_EQ(captured_events.size(), 1u);
+  EXPECT_EQ(SpanField(captured_events[0], "trace_id", 0), 99);
 }
 
 #endif  // DELTAMON_OBS_ENABLED

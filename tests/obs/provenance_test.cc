@@ -10,10 +10,9 @@
 namespace deltamon::obs {
 namespace {
 
-// The value/tuple codec and the ring classes are plain data structures
-// with no engine dependency, so these tests run identically (and the
-// Null twins keep them compiling) in OBS=ON and OBS=OFF builds — the
-// suite only exercises the real classes, which exist in both.
+// The value/tuple codec and the logs are plain data structures with no
+// engine dependency, so these tests run identically in OBS=ON and OBS=OFF
+// builds: they construct BoundedLogs directly, which exist in both.
 
 TEST(WaveCodecTest, EveryValueKindRoundTrips) {
   const std::vector<Value> values = {

@@ -51,8 +51,9 @@ TEST_F(SpanTest, EmitsOneEventWithBookkeepingFields) {
     span.AddField("tuples", 7);
   }
   EXPECT_EQ(Span::CurrentId(), 0u);
-  ASSERT_EQ(ring_.events().size(), 1u);
-  const TraceEvent& e = ring_.events().front();
+  const std::vector<TraceEvent> events = ring_.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  const TraceEvent& e = events.front();
   EXPECT_TRUE(IsSpanEvent(e));
   EXPECT_EQ(e.category, "propagation");
   EXPECT_EQ(e.name, "wave");
@@ -73,9 +74,10 @@ TEST_F(SpanTest, NestedSpansLinkParentToChild) {
     EXPECT_EQ(Span::CurrentId(), outer.id());
   }
   // Children end (and are recorded) before their parents.
-  ASSERT_EQ(ring_.events().size(), 2u);
-  const TraceEvent& inner = ring_.events()[0];
-  const TraceEvent& outer = ring_.events()[1];
+  const std::vector<TraceEvent> events = ring_.Snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  const TraceEvent& inner = events[0];
+  const TraceEvent& outer = events[1];
   EXPECT_EQ(inner.name, "wave");
   EXPECT_EQ(outer.name, "check_phase");
   EXPECT_EQ(SpanField(inner, "parent_id", -1), SpanField(outer, "span_id", 0));
@@ -86,8 +88,8 @@ TEST_F(SpanTest, SetNameReplacesTheConstructionName) {
     Span span("propagation", "node");
     span.SetName("node:quantity");
   }
-  ASSERT_EQ(ring_.events().size(), 1u);
-  EXPECT_EQ(ring_.events()[0].name, "node:quantity");
+  ASSERT_EQ(ring_.Snapshot().size(), 1u);
+  EXPECT_EQ(ring_.Snapshot()[0].name, "node:quantity");
 }
 
 TEST_F(SpanTest, ConcurrentSpansGetDistinctIdsAndThreads) {
@@ -113,7 +115,7 @@ TEST_F(SpanTest, ChromeTraceJsonIsLoadableCompleteEvents) {
     Span inner("propagation", "wave");
     inner.AddField("base_influents_changed", 2);
   }
-  Json doc = ChromeTraceJson(ring_.events());
+  Json doc = ChromeTraceJson(ring_.Snapshot());
   // Round-trip through the parser: the export must be well-formed JSON.
   auto parsed = Json::Parse(doc.Dump());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
@@ -138,7 +140,7 @@ TEST_F(SpanTest, ChromeTraceJsonIsLoadableCompleteEvents) {
 TEST_F(SpanTest, NonSpanEventsAreSkippedByTheExporter) {
   ring_.OnEvent(TraceEvent{"test", "marker", {{"produced", 3}}});
   { Span span("rules", "round"); }
-  Json doc = ChromeTraceJson(ring_.events());
+  Json doc = ChromeTraceJson(ring_.Snapshot());
   EXPECT_EQ(doc.Get("traceEvents")->size(), 1u);
 }
 
@@ -151,7 +153,7 @@ TEST_F(SpanTest, FormatSpanTreeIndentsChildrenUnderParents) {
       { Span wave("propagation", "wave"); }
     }
   }
-  std::string tree = FormatSpanTree(ring_.events());
+  std::string tree = FormatSpanTree(ring_.Snapshot());
   EXPECT_NE(tree.find("rules.check_phase "), std::string::npos) << tree;
   EXPECT_NE(tree.find("\n  rules.round "), std::string::npos) << tree;
   EXPECT_NE(tree.find("\n    propagation.wave "), std::string::npos) << tree;
@@ -170,12 +172,12 @@ TEST_F(SpanTest, FormatSpanTreePromotesOrphansToRoots) {
                    {"start_ns", 100},
                    {"dur_ns", 50}};
   ring_.OnEvent(orphan);
-  std::string tree = FormatSpanTree(ring_.events());
+  std::string tree = FormatSpanTree(ring_.Snapshot());
   EXPECT_NE(tree.find("propagation.node "), std::string::npos) << tree;
 }
 
 TEST_F(SpanTest, FormatSpanTreeOnEmptyRingSaysSo) {
-  EXPECT_EQ(FormatSpanTree(ring_.events()), "(no spans recorded)\n");
+  EXPECT_EQ(FormatSpanTree(ring_.Snapshot()), "(no spans recorded)\n");
 }
 
 TEST(RingOverflowTest, OverflowBumpsDroppedEventsAndCounter) {
@@ -189,11 +191,11 @@ TEST(RingOverflowTest, OverflowBumpsDroppedEventsAndCounter) {
   for (int i = 0; i < 5; ++i) {
     ring.OnEvent(TraceEvent{"test", "e" + std::to_string(i), {}});
   }
-  EXPECT_EQ(ring.events().size(), 2u);
-  EXPECT_EQ(ring.dropped_events(), 3u);
+  EXPECT_EQ(ring.Snapshot().size(), 2u);
+  EXPECT_EQ(ring.dropped_records(), 3u);
   // The survivors are the most recent events.
-  EXPECT_EQ(ring.events()[0].name, "e3");
-  EXPECT_EQ(ring.events()[1].name, "e4");
+  EXPECT_EQ(ring.Snapshot()[0].name, "e3");
+  EXPECT_EQ(ring.Snapshot()[1].name, "e4");
 #if DELTAMON_OBS_ENABLED
   uint64_t after = Registry::Global()
                        .GetCounter("obs.trace.dropped_events")
@@ -205,17 +207,18 @@ TEST(RingOverflowTest, OverflowBumpsDroppedEventsAndCounter) {
 TEST(RingOverflowTest, ZeroCapacityDropsEverything) {
   RingTraceSink ring(0);
   ring.OnEvent(TraceEvent{"test", "e", {}});
-  EXPECT_TRUE(ring.events().empty());
-  EXPECT_EQ(ring.dropped_events(), 1u);
+  EXPECT_TRUE(ring.Snapshot().empty());
+  EXPECT_EQ(ring.dropped_records(), 1u);
 }
 
-TEST(RingOverflowTest, ClearKeepsTheDroppedTally) {
+TEST(RingOverflowTest, ClearResetsTheDroppedTally) {
   RingTraceSink ring(1);
   ring.OnEvent(TraceEvent{"test", "a", {}});
   ring.OnEvent(TraceEvent{"test", "b", {}});
   ring.Clear();
-  EXPECT_TRUE(ring.events().empty());
-  EXPECT_EQ(ring.dropped_events(), 1u);
+  EXPECT_TRUE(ring.Snapshot().empty());
+  EXPECT_EQ(ring.dropped_records(), 0u);
+  EXPECT_EQ(ring.total_records(), 0u);
 }
 
 }  // namespace
